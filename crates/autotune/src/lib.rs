@@ -23,9 +23,11 @@
 //! 4. **Rank** — price survivors with the cycle-cost simulator
 //!    ([`exo_machine::try_simulate`]) on inputs synthesized by the
 //!    differential harness.
-//! 5. **Measure** — compile the top-K with the C backend and time them in
-//!    parallel worker threads ([`measure::measure_batch`]); without a C
-//!    compiler the tuner degrades to cost-model-only ranking.
+//! 5. **Measure** — emit the top-K into one C unit per distinct flag
+//!    set, compile each with one `cc` call, and time every candidate in
+//!    interleaved rounds from concurrent processes
+//!    ([`measure::measure_batch`]); without a C compiler the tuner
+//!    degrades to cost-model-only ranking.
 //! 6. **Report** — winner script, pruning statistics, search throughput,
 //!    and a cost-model-fidelity score (Spearman rank correlation between
 //!    simulated cycles and measured nanoseconds over the measured set).
@@ -87,7 +89,7 @@ pub struct TuneConfig {
     /// Whether to attempt wall-clock measurement at all (`false` forces
     /// cost-model-only ranking even when `cc` is available).
     pub measure: bool,
-    /// Worker threads for compile-and-time.
+    /// Concurrent timing processes, clipped to the host's parallelism.
     pub threads: usize,
     /// Seed for input synthesis (shared by simulation and measurement).
     pub input_seed: u64,

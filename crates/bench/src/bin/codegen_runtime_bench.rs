@@ -11,7 +11,9 @@
 //! * `avx2_omp` — the schedule of record plus `parallelize` on the
 //!   verifier-certified outer loops, machine-intrinsic emission with
 //!   OpenMP work-sharing pragmas (`-fopenmp`), timed at each thread
-//!   count in [`THREAD_COUNTS`] via `OMP_NUM_THREADS`.
+//!   count in [`THREAD_COUNTS`] via `OMP_NUM_THREADS` that the host has
+//!   hardware threads for (larger counts are logged and dropped: they
+//!   would time oversubscription, not scaling).
 //!
 //! Every variant is first *differentially validated* against the
 //! interpreter (same harness as `codegen_bench`), then timed: buffers
@@ -343,7 +345,26 @@ struct KernelReport {
     rows: Vec<Row>,
 }
 
-fn bench_workload(w: &Workload, registry: &ProcRegistry) -> KernelReport {
+/// The counts of [`THREAD_COUNTS`] this host can run one thread per
+/// hardware thread; each dropped count is logged.
+fn omp_thread_counts() -> Vec<usize> {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    THREAD_COUNTS
+        .iter()
+        .copied()
+        .filter(|&t| {
+            if t > cpus {
+                println!(
+                    "  skip   OMP_NUM_THREADS={t}: this host has {cpus} hardware thread(s); \
+                     the row would time oversubscription, not scaling"
+                );
+            }
+            t <= cpus
+        })
+        .collect()
+}
+
+fn bench_workload(w: &Workload, registry: &ProcRegistry, omp_threads: &[usize]) -> KernelReport {
     let size = choose_size(&w.base, w.sizes)
         .unwrap_or_else(|e| fail(&format!("sizing `{}`: {e}", w.name)));
     let shapes =
@@ -372,7 +393,7 @@ fn bench_workload(w: &Workload, registry: &ProcRegistry) -> KernelReport {
         registry,
         &CodegenOptions::native_openmp(),
         &shapes,
-        &THREAD_COUNTS,
+        omp_threads,
     ));
     KernelReport {
         name: w.name,
@@ -425,12 +446,10 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn json(reports: &[KernelReport]) -> String {
+fn json(reports: &[KernelReport], omp_threads: &[usize]) -> String {
     let mut out = exo_bench::bench_json_header("codegen_runtime_bench");
-    out.push_str(&format!(
-        "  \"thread_counts\": [{}],\n",
-        THREAD_COUNTS.map(|t| t.to_string()).join(", ")
-    ));
+    let counts: Vec<String> = omp_threads.iter().map(|t| t.to_string()).collect();
+    out.push_str(&format!("  \"thread_counts\": [{}],\n", counts.join(", ")));
     out.push_str(
         "  \"unit\": \"ns_per_call = median wall-clock ns of one kernel call over independently \
          timed calibrated batches; spread = (max - min) / median over those batches; gflops = \
@@ -519,9 +538,10 @@ fn main() {
     println!("  host   {}", HostCaps::detect().summary());
     let machine = MachineModel::avx2();
     let registry: ProcRegistry = machine.instructions(DataType::F32).into_iter().collect();
+    let omp_threads = omp_thread_counts();
     let mut reports = Vec::new();
     for w in workloads(&machine, smoke) {
-        let report = bench_workload(&w, &registry);
+        let report = bench_workload(&w, &registry, &omp_threads);
         print_report(&report);
         reports.push(report);
     }
@@ -531,7 +551,7 @@ fn main() {
         return;
     }
     let path = "BENCH_codegen_runtime.json";
-    std::fs::write(path, json(&reports))
+    std::fs::write(path, json(&reports, &omp_threads))
         .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
     println!("wrote {path}");
 }

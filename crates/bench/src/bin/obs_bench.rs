@@ -307,6 +307,7 @@ fn main() {
             ("replay", "ok"),
             ("verify", "ok (0 findings)"),
             ("emit", "ok"),
+            ("native-flags", "native (no extra flags needed)"),
             ("native-run", "degraded to compile-only: input-synthesis"),
             ("compile-only", "degraded to interp: compiler-unavailable"),
             ("interp", "degraded to verified-ir: input-synthesis"),

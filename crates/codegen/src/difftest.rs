@@ -37,7 +37,7 @@ fn run_guard() -> GuardConfig {
 }
 
 /// One synthesized argument, aligned with the procedure's signature.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SynthArg {
     /// A `size` argument value.
     Size(i64),
@@ -452,7 +452,7 @@ pub fn compile(
     f.write_all(source.as_bytes())
         .map_err(|e| format!("cannot write {}: {e}", src.display()))?;
     drop(f);
-    let link = source.contains("int main(void)");
+    let link = source.contains("int main(");
     let bin = dir.join(if link { "kernel" } else { "kernel.o" });
     let mut cmd = Command::new("cc");
     cmd.args(["-O2", "-Wall", "-Werror", "-std=c99"]);

@@ -342,13 +342,33 @@ impl<'a> UnitEmitter<'a> {
         }
     }
 
+    /// Emits every proc of `roots` as an externally-visible function,
+    /// in order, sharing callees (emitted once each, by name) and unit
+    /// preamble. The unit-stride scan runs over all roots before any is
+    /// emitted, so an instruction demoted for one root is demoted for
+    /// every root and a shared callee has one body.
+    pub(crate) fn add_roots(&mut self, roots: &[Proc]) -> Result<()> {
+        if self.opts.intrinsics {
+            let mut seen = BTreeSet::new();
+            for root in roots {
+                self.scalar_fallback_scan(root, &mut seen);
+            }
+        }
+        for root in roots {
+            if self.emitted.contains(root.name()) {
+                return Err(CodegenError::Unsupported(format!(
+                    "`{}` is emitted twice in one unit",
+                    root.name()
+                )));
+            }
+            self.add_proc(root, true)?;
+        }
+        Ok(())
+    }
+
     /// Emits `proc` (callees first) and returns nothing; definitions
     /// accumulate in the unit.
-    pub(crate) fn add_proc(&mut self, proc: &Proc, is_root: bool) -> Result<()> {
-        if is_root && self.opts.intrinsics {
-            let mut seen = BTreeSet::new();
-            self.scalar_fallback_scan(proc, &mut seen);
-        }
+    fn add_proc(&mut self, proc: &Proc, is_root: bool) -> Result<()> {
         let name = proc.name().to_string();
         if self.emitted.contains(&name) {
             return Ok(());
@@ -508,6 +528,7 @@ impl<'a> UnitEmitter<'a> {
             code: out,
             cflags: self.cflags.into_iter().collect(),
             stock_toolchain: self.stock_toolchain,
+            scalar_fallback: self.scalar_fallback_instrs.into_iter().collect(),
         }
     }
 }

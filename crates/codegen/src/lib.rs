@@ -133,7 +133,8 @@ impl CodegenOptions {
 /// An emitted C translation unit.
 #[derive(Clone, Debug)]
 pub struct CUnit {
-    /// Name of the root procedure (the one non-`static` function).
+    /// Name of the root procedure (the one non-`static` function); for a
+    /// unit from [`emit_c_roots`], the roots' names, comma-separated.
     pub name: String,
     /// The complete C99 source text.
     pub code: String,
@@ -142,6 +143,10 @@ pub struct CUnit {
     /// Whether a stock C toolchain can compile the unit (false once a
     /// non-stock intrinsic such as a Gemmini ROCC macro is emitted).
     pub stock_toolchain: bool,
+    /// Instruction procedures kept as portable scalar bodies in intrinsic
+    /// mode because a callsite passes a window that is not unit-stride in
+    /// its last dimension, sorted. Always empty in portable mode.
+    pub scalar_fallback: Vec<String>,
 }
 
 /// Errors raised by C emission.
@@ -207,12 +212,33 @@ pub type Result<T> = std::result::Result<T, CodegenError>;
 /// symbols; [`CodegenError::Unsupported`] for constructs outside the C
 /// backend's subset (the message names the construct).
 pub fn emit_c(proc: &Proc, registry: &ProcRegistry, opts: &CodegenOptions) -> Result<CUnit> {
+    emit_c_roots(std::slice::from_ref(proc), registry, opts)
+}
+
+/// Emits one C99 translation unit holding every proc of `roots` as an
+/// externally-visible function, in order. Callees, window structs and
+/// helpers are shared: each is emitted once. The unit's
+/// [`CUnit::name`] lists the roots, comma-separated.
+///
+/// Each root's function is the text [`emit_c`] produces for that proc
+/// alone, provided the roots agree on [`CUnit::scalar_fallback`]; an
+/// instruction demoted for any root is demoted for all of them.
+///
+/// # Errors
+/// As [`emit_c`], for any root; [`CodegenError::Unsupported`] when two
+/// roots, or a root and a callee, share a name.
+pub fn emit_c_roots(
+    roots: &[Proc],
+    registry: &ProcRegistry,
+    opts: &CodegenOptions,
+) -> Result<CUnit> {
     let mut unit = emit::UnitEmitter::new(registry, opts);
-    unit.add_proc(proc, true)?;
+    unit.add_roots(roots)?;
     let mode = if opts.intrinsics {
         "machine intrinsics where mapped, scalar fallback otherwise"
     } else {
         "portable scalar"
     };
-    Ok(unit.finish(proc.name(), mode))
+    let names: Vec<&str> = roots.iter().map(|p| p.name()).collect();
+    Ok(unit.finish(&names.join(", "), mode))
 }
