@@ -315,7 +315,9 @@ pub fn tune(task: &TuneTask, cfg: &TuneConfig) -> Result<TuneReport, String> {
     let mut illegal = 0usize;
     let mut verify_rejected = 0usize;
     let mut trapped = 0usize;
-    let mut survivors: Vec<(ScheduleScript, ProcHandle, u64)> = Vec::new();
+    // Survivors keep only their final proc: a `ProcHandle` would also
+    // keep every intermediate version of the replay alive.
+    let mut survivors: Vec<(ScheduleScript, Proc, u64)> = Vec::new();
     for script in scripts {
         let pruned = {
             let _prune = exo_obs::span!("tune:prune");
@@ -349,7 +351,7 @@ pub fn tune(task: &TuneTask, cfg: &TuneConfig) -> Result<TuneReport, String> {
             cost_of(scheduled.proc(), &registry, cfg.input_seed)
         };
         match simulated {
-            Ok(cycles) => survivors.push((script, scheduled, cycles)),
+            Ok(cycles) => survivors.push((script, scheduled.proc().clone(), cycles)),
             Err(_) => trapped += 1,
         }
     }
@@ -378,7 +380,7 @@ pub fn tune(task: &TuneTask, cfg: &TuneConfig) -> Result<TuneReport, String> {
         let k = cfg.top_k.min(survivors.len());
         let batch: Vec<(Proc, u64)> = survivors[..k]
             .iter()
-            .map(|(_, p, cycles)| (p.proc().clone(), *cycles))
+            .map(|(_, p, cycles)| (p.clone(), *cycles))
             .collect();
         let times = {
             let _measure = exo_obs::span!("tune:measure", "{} candidates", batch.len());

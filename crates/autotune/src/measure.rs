@@ -14,8 +14,14 @@
 //!   candidate is built exactly as its solo unit would be: a scalar
 //!   candidate without `-m` flags, a vectorized one with the flags its
 //!   intrinsics need. For one kernel this is one unit per distinct flag
-//!   set, so `cc` start-up and `<immintrin.h>` parsing are paid once per
-//!   unit, not once per candidate.
+//!   set, so `cc` start-up is paid once per unit, not once per candidate.
+//!   The shared compile precompiles each unit's leading `#include`s, so
+//!   `<immintrin.h>` is parsed once per flag set per host, not once per
+//!   unit.
+//! * **Build, then time.** All units of one call are emitted, then
+//!   compiled concurrently (as many at a time as the host has CPUs),
+//!   before the first timing process starts. Timing then runs unit by
+//!   unit, so no `cc` competes with a timed batch.
 //! * **One driver.** Before each candidate's warm-up and before each of
 //!   its timed batches, the driver copies the synthesized inputs from a
 //!   `const` master, so no candidate times on another's output. It
@@ -26,10 +32,11 @@
 //! * **Runs.** The binary runs as `threads` concurrent processes, each
 //!   given a disjoint set of candidates on its command line.
 //! * **Failure stays per candidate.** A unit that fails to build is
-//!   split in half and each half retried, so only a candidate that fails
-//!   on its own is [`Measurement::Failed`], with the `cc` diagnostics. A
-//!   process that crashes or hangs fails the candidate it was running;
-//!   the candidates it had not finished are re-run in a fresh process.
+//!   split in half and each half built and timed again, so only a
+//!   candidate that fails on its own is [`Measurement::Failed`], with the
+//!   `cc` diagnostics. A process that crashes or hangs fails the
+//!   candidate it was running; the candidates it had not finished are
+//!   re-run in a fresh process.
 //!   Planning and unit building run under `catch_unwind`, so a panic
 //!   surfaces as [`Measurement::Panicked`] on the candidates involved
 //!   instead of unwinding the search.
@@ -48,8 +55,9 @@ use exo_ir::{DataType, Proc};
 use exo_machine::{HostCaps, MachineModel};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// The outcome of measuring one candidate.
@@ -638,29 +646,97 @@ fn measure_with(
             }
         }
     }
-    let mut results = measure_batch_impl(procs.len(), units, machine, &|reg, members| {
-        let _span = exo_obs::span!(
-            "tune:measure-unit",
-            "{kernel}: {} candidates",
-            members.len()
-        );
+    // A unit's driver source and flags, with the test hook applied.
+    let emit_unit = |reg: &ProcRegistry, members: &[usize]| {
         let members_planned: Vec<&Planned> = members
             .iter()
             .filter_map(|&i| planned.get(i).and_then(Option::as_ref))
             .collect();
         let (mut source, cflags) = unit_source(reg, &members_planned)?;
         patch(members, &mut source);
-        let bin = compile(&source, &cflags, kernel)?;
-        let outcomes = run_unit(&bin, members.len(), threads);
-        if let Some(dir) = bin.parent() {
-            let _ = std::fs::remove_dir_all(dir);
+        Ok((source, cflags))
+    };
+    // Build every unit before timing any, so no `cc` competes with a
+    // timed batch for the CPU.
+    let mut prebuilt = BTreeMap::new();
+    let mut jobs = Vec::with_capacity(units.len());
+    for members in &units {
+        match isolated(&mut registry, machine, |reg| emit_unit(reg, members)) {
+            Ok(job) => jobs.push((members.clone(), job)),
+            Err(Measurement::Failed(e)) => {
+                prebuilt.insert(members.clone(), Err(e));
+            }
+            // A panic is left to the timing loop, which emits the unit
+            // again under its own isolation.
+            Err(_) => {}
         }
+    }
+    prebuilt.extend(build_units(&jobs, kernel));
+    let prebuilt = std::cell::RefCell::new(prebuilt);
+    let mut results = measure_batch_impl(procs.len(), units, machine, &|reg, members| {
+        let _span = exo_obs::span!(
+            "tune:measure-unit",
+            "{kernel}: {} candidates",
+            members.len()
+        );
+        // A unit that failed to build as a whole is bisected by
+        // `measure_batch_impl`; its halves are emitted and built here.
+        let bin = match prebuilt.borrow_mut().remove(members) {
+            Some(bin) => bin?,
+            None => {
+                let (source, cflags) = emit_unit(reg, members)?;
+                compile(&source, &cflags, kernel)?
+            }
+        };
+        let outcomes = run_unit(&bin, members.len(), threads);
+        remove_unit_dir(&bin);
         Ok(outcomes)
     });
+    for bin in prebuilt.into_inner().into_values().flatten() {
+        remove_unit_dir(&bin);
+    }
     for (i, m) in failed {
         results[i] = m;
     }
     results
+}
+
+/// A unit ready to build: its batch indices, driver source and `cflags`.
+type Job = (Vec<usize>, (String, Vec<String>));
+
+/// Compiles the emitted units concurrently, as many at a time as the
+/// host has CPUs: each unit's binary, or why it did not build.
+fn build_units(jobs: &[Job], tag: &str) -> Vec<(Vec<usize>, Result<PathBuf, String>)> {
+    let _span = exo_obs::span!("tune:build-units", "{tag}: {} units", jobs.len());
+    let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let workers = cpus.clamp(1, jobs.len().max(1));
+    let next = AtomicUsize::new(0);
+    let build = || {
+        let mut done = Vec::new();
+        while let Some((members, (source, cflags))) = jobs.get(next.fetch_add(1, Ordering::Relaxed))
+        {
+            done.push((members.clone(), compile(source, cflags, tag)));
+        }
+        done
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(build)).collect();
+        // This thread builds too, so its spans nest under the caller's.
+        let mut built = build();
+        for handle in handles {
+            // A unit missing after a panicked thread is built again by
+            // the timing loop.
+            built.extend(handle.join().unwrap_or_default());
+        }
+        built
+    })
+}
+
+/// Removes the temporary directory of a unit's binary.
+fn remove_unit_dir(bin: &Path) {
+    if let Some(dir) = bin.parent() {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// Builds and times one unit holding the given batch indices (never
@@ -904,6 +980,140 @@ mod tests {
             } else {
                 assert!(m.nanos().is_some_and(|ns| ns > 0.0), "candidate {i}: {m:?}");
             }
+        }
+    }
+
+    #[test]
+    fn a_unit_failing_cc_beside_a_healthy_unit_fails_only_its_culprit() {
+        if !cc_available() {
+            eprintln!("skipping: no C compiler (`cc`) on PATH");
+            return;
+        }
+        let machine = MachineModel::scalar();
+        // Double-precision inputs differ, so candidate 2 gets a unit of
+        // its own; both units are built together, before any timing.
+        let mut batch = batch_of(2);
+        batch.push((scal(Precision::Double), 100));
+        let results = measure_with(&batch, &machine, 1, 2, false, &|members, src| {
+            if members.contains(&1) {
+                inject(src, 1, "#error candidate 1 does not build");
+            }
+        });
+        for (i, m) in results.iter().enumerate() {
+            if i == 1 {
+                assert!(matches!(m, Measurement::Failed(_)), "{m:?}");
+                let err = m.error().expect("candidate 1 fails");
+                assert!(err.contains("candidate 1 does not build"), "{err}");
+            } else {
+                assert!(m.nanos().is_some_and(|ns| ns > 0.0), "candidate {i}: {m:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_unit_is_built_before_any_is_timed() {
+        if !cc_available() {
+            eprintln!("skipping: no C compiler (`cc`) on PATH");
+            return;
+        }
+        let machine = MachineModel::scalar();
+        // A kernel name no other test uses, so its spans can be told apart.
+        let kernel = "build_order";
+        let batch: Vec<(Proc, u64)> = [
+            scal(Precision::Single),
+            scal(Precision::Single),
+            scal(Precision::Double),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| (p.with_name(format!("{kernel}{i}")), 100))
+        .collect();
+        let session = exo_obs::session();
+        let results = measure_with(&batch, &machine, 1, 2, false, &|_, _| {});
+        let trace = session.finish();
+        assert!(results.iter().all(|m| m.nanos().is_some()), "{results:?}");
+        let spans: Vec<&exo_obs::SpanRecord> = trace.spans().collect();
+        let compiles: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == "difftest:compile" && s.attr.as_deref() == Some("build_order0"))
+            .collect();
+        // The `cc` runs of this kernel: those inside its compile spans.
+        let cc_ends: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.name == "guard:run" && s.attr.as_deref() == Some("cc"))
+            .filter(|s| {
+                compiles
+                    .iter()
+                    .any(|c| c.tid == s.tid && c.start_ns <= s.start_ns && s.end_ns <= c.end_ns)
+            })
+            .map(|s| s.end_ns)
+            .collect();
+        let timing_starts: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.name == "guard:run")
+            .filter(|s| {
+                s.attr
+                    .as_deref()
+                    .is_some_and(|a| a.contains("_build_order0/"))
+            })
+            .map(|s| s.start_ns)
+            .collect();
+        assert_eq!(compiles.len(), 2, "two units, one compile each");
+        assert!(cc_ends.len() >= 2, "{} cc runs", cc_ends.len());
+        assert!(!timing_starts.is_empty(), "no timing process traced");
+        let last_cc = cc_ends.iter().max().copied().unwrap_or(0);
+        let first_timing = timing_starts.iter().min().copied().unwrap_or(0);
+        assert!(
+            last_cc <= first_timing,
+            "a cc ended at {last_cc} ns, after timing began at {first_timing} ns"
+        );
+    }
+
+    /// Compiles `source` through the shared compile (and its prelude
+    /// cache), then again in the same directory with a plain `cc` call,
+    /// and says whether the two binaries are byte-identical.
+    fn same_binary_without_the_cache(source: &str, cflags: &[String], tag: &str) -> bool {
+        let bin = compile(source, cflags, tag).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        let dir = bin.parent().expect("temp dir").to_path_buf();
+        let plain = dir.join("plain");
+        let out = run_guarded(
+            Command::new("cc")
+                .args(["-O2", "-Wall", "-Werror", "-std=c99"])
+                .args(cflags)
+                .arg("-o")
+                .arg(&plain)
+                .arg(dir.join("kernel.c"))
+                .arg("-lm"),
+            &GuardConfig::with_timeout(Duration::from_secs(120)),
+        )
+        .expect("cc runs");
+        assert!(out.success, "{tag}: {}", out.stderr_lossy());
+        let same = std::fs::read(&bin).ok() == std::fs::read(&plain).ok();
+        let _ = std::fs::remove_dir_all(&dir);
+        same
+    }
+
+    #[test]
+    fn timing_drivers_build_identically_with_the_prelude_cache() {
+        if !cc_available() {
+            eprintln!("skipping: no C compiler (`cc`) on PATH");
+            return;
+        }
+        let machine = MachineModel::avx2();
+        let registry = build_registry(&machine);
+        let record = schedule_of_record("sgemm", &machine).expect("sgemm record");
+        let sgemm = apply_script(&ProcHandle::new(exo_kernels::sgemm()), &record, &machine)
+            .unwrap()
+            .proc()
+            .clone();
+        let scalar = plan(&scal(Precision::Single), 100, 0, &registry, 1, false).unwrap();
+        let vectorized = plan(&sgemm, 1000, 0, &registry, 1, true).unwrap();
+        for (tag, p) in [
+            ("driver_scalar", &scalar),
+            ("driver_vectorized", &vectorized),
+        ] {
+            let (src, cflags) = unit_source(&registry, &[p]).unwrap();
+            assert!(same_binary_without_the_cache(&src, &cflags, tag), "{tag}");
         }
     }
 

@@ -13,12 +13,11 @@
 //! [`DiffOutcome::Skipped`] and callers log a notice instead of failing —
 //! CI always has `cc`, so the check cannot rot silently there.
 
-use crate::{emit_c, CUnit, CodegenOptions};
+use crate::{emit_c, pch, CUnit, CodegenOptions};
 use exo_guard::{run_guarded, GuardConfig};
 use exo_interp::{ArgValue, Interpreter, NullMonitor, ProcRegistry};
 use exo_ir::{ArgKind, BinOp, DataType, Expr, Proc, UnOp};
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -97,19 +96,28 @@ impl Rng {
 
 /// Whether a C compiler (`cc`) is available on `PATH`. Cached.
 pub fn cc_available() -> bool {
-    static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| {
-        // Probe under supervision: a wedged compiler wrapper would
-        // otherwise hang every difftest at the very first check.
-        let mut cmd = Command::new("cc");
-        cmd.arg("--version");
-        run_guarded(
-            &mut cmd,
-            &GuardConfig::with_timeout(Duration::from_secs(15)),
-        )
-        .map(|o| o.success)
-        .unwrap_or(false)
-    })
+    cc_version().is_some()
+}
+
+/// The output of `cc --version`, or `None` when there is no working
+/// `cc`. Cached.
+pub(crate) fn cc_version() -> Option<&'static str> {
+    static VERSION: OnceLock<Option<String>> = OnceLock::new();
+    VERSION
+        .get_or_init(|| {
+            // Probe under supervision: a wedged compiler wrapper would
+            // otherwise hang every difftest at the very first check.
+            let mut cmd = Command::new("cc");
+            cmd.arg("--version");
+            run_guarded(
+                &mut cmd,
+                &GuardConfig::with_timeout(Duration::from_secs(15)),
+            )
+            .ok()
+            .filter(|o| o.success)
+            .map(|o| o.stdout_lossy())
+        })
+        .as_deref()
 }
 
 fn eval_int(e: &Expr, sizes: &BTreeMap<String, i64>) -> Option<i64> {
@@ -431,7 +439,12 @@ pub fn emit_driver(unit: &CUnit, proc: &Proc, inputs: &[SynthArg]) -> String {
 
 /// Compiles a C source with `cc -O2 -Wall -Werror -std=c99` plus
 /// `extra_cflags` and returns the path of the produced binary (inside a
-/// fresh temp directory), or the compiler's diagnostics on failure.
+/// fresh temp directory), or the compiler's diagnostics on failure, in
+/// which case the directory is removed.
+///
+/// The source's leading `#include`s are precompiled once per flag set
+/// per host and loaded with `-include` (see the `pch` module); the binary
+/// is the one a plain compile produces.
 pub fn compile(
     source: &str,
     extra_cflags: &[String],
@@ -446,17 +459,39 @@ pub fn compile(
         tag
     ));
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let mut flags: Vec<String> = ["-O2", "-Wall", "-Werror", "-std=c99"]
+        .iter()
+        .map(|f| f.to_string())
+        .collect();
+    flags.extend_from_slice(extra_cflags);
+    let header = pch::header_for(source, &flags)
+        .map_err(|why| pch::fallback(&why))
+        .ok();
+    let built = compile_in(&dir, source, &flags, header.as_deref());
+    if built.is_err() {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    built
+}
+
+/// Writes `source` into `dir` and compiles it with `flags`, preloading
+/// the precompiled `header` when given. When `cc` cannot read the cache
+/// entry, the `.gch` is invalidated and the compile retried without it.
+fn compile_in(
+    dir: &std::path::Path,
+    source: &str,
+    flags: &[String],
+    header: Option<&std::path::Path>,
+) -> Result<std::path::PathBuf, String> {
     let src = dir.join("kernel.c");
-    let mut f =
-        std::fs::File::create(&src).map_err(|e| format!("cannot write {}: {e}", src.display()))?;
-    f.write_all(source.as_bytes())
-        .map_err(|e| format!("cannot write {}: {e}", src.display()))?;
-    drop(f);
+    std::fs::write(&src, source).map_err(|e| format!("cannot write {}: {e}", src.display()))?;
     let link = source.contains("int main(");
     let bin = dir.join(if link { "kernel" } else { "kernel.o" });
     let mut cmd = Command::new("cc");
-    cmd.args(["-O2", "-Wall", "-Werror", "-std=c99"]);
-    cmd.args(extra_cflags);
+    cmd.args(flags);
+    if let Some(header) = header {
+        cmd.arg("-include").arg(header);
+    }
     if !link {
         // No driver: compile-only (nothing defines `main`).
         cmd.arg("-c");
@@ -467,15 +502,34 @@ pub fn compile(
     }
     let output =
         run_guarded(&mut cmd, &compile_guard()).map_err(|e| format!("cannot run cc: {e}"))?;
-    if !output.success {
-        return Err(format!(
-            "cc -O2 -Wall -Werror failed on {} (exit {:?}):\n{}",
-            src.display(),
-            output.code,
-            output.stderr_lossy()
-        ));
+    if output.success {
+        return Ok(bin);
     }
-    Ok(bin)
+    let stderr = output.stderr_lossy();
+    // gcc reports an unreadable `.gch` as "cannot read PCH file" or
+    // "while reading precompiled header", and a vanished header as
+    // "<path>: No such file or directory".
+    let cache_at_fault = |h: &&std::path::Path| {
+        let missing = format!("{}: No such file", h.display());
+        ["PCH", "precompiled header", &missing]
+            .iter()
+            .any(|m| stderr.contains(m))
+    };
+    if let Some(header) = header.filter(cache_at_fault) {
+        pch::invalidate(header);
+        pch::fallback(&format!(
+            "cc could not read the precompiled {}: {}",
+            header.display(),
+            stderr.trim()
+        ));
+        return compile_in(dir, source, flags, None);
+    }
+    Err(format!(
+        "cc -O2 -Wall -Werror failed on {} (exit {:?}):\n{}",
+        src.display(),
+        output.code,
+        stderr
+    ))
 }
 
 /// Compile-only check of an emitted unit (used for intrinsic-mode units,
@@ -639,4 +693,29 @@ pub fn run_differential_with(
         buffers: tensor_idx,
         elems: total,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failing_compile_leaves_no_directory_behind() {
+        if !cc_available() {
+            eprintln!("skipping: no C compiler (`cc`) on PATH");
+            return;
+        }
+        let tag = "leak_check";
+        let err = compile("#include <stdint.h>\n#error does not build\n", &[], tag)
+            .expect_err("the source does not compile");
+        assert!(err.contains("does not build"), "{err}");
+        let prefix = format!("exo_codegen_{}_", std::process::id());
+        let left: Vec<String> = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(&prefix) && n.ends_with(&format!("_{tag}")))
+            .collect();
+        assert!(left.is_empty(), "left behind: {left:?}");
+    }
 }

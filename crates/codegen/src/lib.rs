@@ -46,6 +46,7 @@
 
 mod emit;
 mod mangle;
+mod pch;
 
 pub mod difftest;
 

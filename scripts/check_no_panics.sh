@@ -23,6 +23,7 @@ FILES=(
   crates/codegen/src/emit.rs
   crates/codegen/src/mangle.rs
   crates/codegen/src/difftest.rs
+  crates/codegen/src/pch.rs
   crates/autotune/src/lib.rs
   crates/autotune/src/space.rs
   crates/autotune/src/measure.rs

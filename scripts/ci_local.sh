@@ -2,7 +2,9 @@
 # Runs the job list of .github/workflows/ci.yml locally, in the same
 # order: fmt, clippy, the panic-free guard, the release build, the
 # workspace tests, the eight smoke gates and `cargo bench --no-run`.
-# Stops at the first failing step and names it.
+# Stops at the first failing step and names it. Prints each step's wall
+# time as it ends and a per-step table at the close, so a step that gets
+# slower (most are bound by `cc`) shows up there.
 #
 #   bash scripts/ci_local.sh
 set -uo pipefail
@@ -26,13 +28,30 @@ STEPS=(
   "cargo bench --no-run|cargo bench --no-run --workspace"
 )
 
+# Prints the wall time of every step run so far, one line each.
+TIMES=()
+table() {
+  printf '%-26s %9s\n' "step" "wall s"
+  for row in "${TIMES[@]}"; do
+    printf '%-26s %9s\n' "${row%%|*}" "${row#*|}"
+  done
+}
+
 for step in "${STEPS[@]}"; do
   name="${step%%|*}"
   cmd="${step#*|}"
   echo "==> ${name}: ${cmd}"
-  if ! bash -c "${cmd}"; then
+  start=$(date +%s.%N)
+  bash -c "${cmd}"
+  status=$?
+  secs=$(awk -v a="${start}" -v b="$(date +%s.%N)" 'BEGIN { printf "%.1f", b - a }')
+  TIMES+=("${name}|${secs}")
+  echo "<== ${name}: ${secs} s"
+  if [ "${status}" -ne 0 ]; then
+    table
     echo "ci_local: FAILED at step '${name}'" >&2
     exit 1
   fi
 done
+table
 echo "ci_local: all ${#STEPS[@]} steps passed"
