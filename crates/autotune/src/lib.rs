@@ -44,8 +44,9 @@ pub mod measure;
 pub mod prune;
 pub mod space;
 
+use exo_codegen::difftest::{arg_values, synth_inputs, SynthArg};
 use exo_cursors::ProcHandle;
-use exo_interp::{ArgValue, ProcRegistry};
+use exo_interp::ProcRegistry;
 use exo_ir::{DataType, Proc};
 use exo_lib::{apply_script, schedule_of_record, ScheduleScript};
 use exo_machine::{try_simulate, MachineModel};
@@ -202,34 +203,10 @@ impl TuneReport {
     }
 }
 
-/// Synthesizes interpreter argument values with the differential
-/// harness's generator (shared sizes satisfying the kernel's assertions,
-/// integer-valued data).
-fn synth_argvalues(proc: &Proc, seed: u64) -> Result<Vec<ArgValue>, String> {
-    use exo_codegen::difftest::{synth_inputs, SynthArg};
-    let inputs = synth_inputs(proc, seed)?;
-    let mut args = Vec::with_capacity(inputs.len());
-    for input in inputs {
-        match input {
-            SynthArg::Size(v) | SynthArg::Int(v) => args.push(ArgValue::Int(v)),
-            SynthArg::Float(v) => args.push(ArgValue::Float(v)),
-            SynthArg::Bool(b) => args.push(ArgValue::Bool(b)),
-            SynthArg::Tensor {
-                dims, data, elem, ..
-            } => {
-                let (_, arg) = ArgValue::from_vec(data, dims, elem);
-                args.push(arg);
-            }
-        }
-    }
-    Ok(args)
-}
-
 /// The concrete size values the harness synthesized for `proc` (one per
 /// `size` argument, in signature order) — callers use this to compute
 /// the task's flop count on the same shapes the tuner times.
 pub fn synth_sizes(proc: &Proc, seed: u64) -> Result<Vec<i64>, String> {
-    use exo_codegen::difftest::{synth_inputs, SynthArg};
     Ok(synth_inputs(proc, seed)?
         .iter()
         .filter_map(|a| match a {
@@ -239,9 +216,10 @@ pub fn synth_sizes(proc: &Proc, seed: u64) -> Result<Vec<i64>, String> {
         .collect())
 }
 
-/// Simulated cycles of one scheduled proc, or the reason it cannot run.
+/// Simulated cycles of one scheduled proc on the differential harness's
+/// synthesized inputs, or the reason it cannot run.
 fn cost_of(proc: &Proc, registry: &ProcRegistry, input_seed: u64) -> Result<u64, String> {
-    let args = synth_argvalues(proc, input_seed)?;
+    let (args, _) = arg_values(&synth_inputs(proc, input_seed)?);
     try_simulate(proc, registry, args)
         .map(|r| r.cycles)
         .map_err(|e| e.to_string())

@@ -1,6 +1,7 @@
 //! Wall-clock measurement of candidate schedules: the top-K candidates
 //! of one kernel are emitted into one C translation unit per distinct
-//! flag set, each compiled with one `cc` call and timed by one driver.
+//! flag set, each compiled with one `cc` call and timed by the shared
+//! native harness ([`exo_codegen::timing`]).
 //!
 //! * **One unit per kernel.** Each candidate keeps its own function,
 //!   renamed `<kernel>_c<i>` for batch index `i`, and the unit shares
@@ -9,8 +10,8 @@
 //!   toolchain and CPU can build and run them
 //!   ([`exo_machine::HostCaps`]), else as the portable scalar unit.
 //!   Candidates whose mode (native or portable), `cflags`, demoted
-//!   instructions or synthesized inputs differ go into separate units,
-//!   and a unit is compiled with only its own `cflags`. So every
+//!   instructions or synthesized arguments differ go into separate
+//!   units, and a unit is compiled with only its own `cflags`. So every
 //!   candidate is built exactly as its solo unit would be: a scalar
 //!   candidate without `-m` flags, a vectorized one with the flags its
 //!   intrinsics need. For one kernel this is one unit per distinct flag
@@ -22,43 +23,34 @@
 //!   compiled concurrently (as many at a time as the host has CPUs),
 //!   before the first timing process starts. Timing then runs unit by
 //!   unit, so no `cc` competes with a timed batch.
-//! * **One driver.** Before each candidate's warm-up and before each of
-//!   its timed batches, the driver copies the synthesized inputs from a
-//!   `const` master, so no candidate times on another's output. It
-//!   calibrates each candidate's repetition count by extrapolating from
-//!   the last batch until a batch spans [`MIN_BATCH_NS`], then times
-//!   [`TIMED_RUNS`] interleaved rounds, one batch of every candidate per
-//!   round, so a slow phase of the host hits all candidates alike.
-//! * **Runs.** The binary runs as `threads` concurrent processes, each
-//!   given a disjoint set of candidates on its command line.
+//! * **Timing.** Each unit gets the shared timed driver, starting each
+//!   candidate's calibration at a repetition count matched to its
+//!   simulated cycles, and runs as `threads` concurrent processes over
+//!   disjoint candidates. The driver, its calibration and the runner's
+//!   crash attribution are described in [`exo_codegen::timing`].
 //! * **Failure stays per candidate.** A unit that fails to build is
 //!   split in half and each half built and timed again, so only a
 //!   candidate that fails on its own is [`Measurement::Failed`], with the
-//!   `cc` diagnostics. A process that crashes or hangs fails the
-//!   candidate it was running; the candidates it had not finished are
-//!   re-run in a fresh process.
-//!   Planning and unit building run under `catch_unwind`, so a panic
-//!   surfaces as [`Measurement::Panicked`] on the candidates involved
-//!   instead of unwinding the search.
+//!   `cc` diagnostics. Planning and unit building run under
+//!   `catch_unwind`, so a panic surfaces as [`Measurement::Panicked`] on
+//!   the candidates involved instead of unwinding the search.
 //!
-//! Inputs come from the differential harness's synthesizer
-//! (`exo_codegen::difftest`), so measured kernels run on exactly the
-//! input shapes the cost model was evaluated on. Every process runs
-//! under [`exo_guard::run_guarded`] (hard wall-clock limit,
-//! kill-on-timeout).
+//! Arguments come from the differential harness's synthesizer
+//! (`exo_codegen::difftest`), so measured kernels run on the shapes and
+//! scalar values the cost model was evaluated on; the driver fills the
+//! tensors from the input seed, with the synthesizer's element ranges.
 
-use exo_codegen::difftest::{cc_available, compile, synth_inputs, SynthArg};
+use exo_codegen::difftest::{cc_available, compile, remove_build_dir, synth_inputs};
+use exo_codegen::timing::{emit_timed_driver, run_unit, Outcome, TimedArg};
 use exo_codegen::{emit_c, emit_c_roots, CodegenOptions};
-use exo_guard::{panic_message, run_guarded, GuardConfig, GuardError};
+use exo_guard::panic_message;
 use exo_interp::ProcRegistry;
 use exo_ir::{DataType, Proc};
 use exo_machine::{HostCaps, MachineModel};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// The outcome of measuring one candidate.
 #[derive(Clone, Debug, PartialEq)]
@@ -107,59 +99,12 @@ impl Measurement {
     }
 }
 
-/// Timed rounds per measurement: each round times one batch of every
-/// candidate in the process, and each batch reports its own
-/// ns-per-call, so the summary can take a median instead of trusting one
-/// sample of a noisy timer.
-pub const TIMED_RUNS: usize = 5;
-
-/// Minimum wall-clock span of one timed batch, in nanoseconds (20 ms).
-/// The driver extrapolates its repetition count until a batch reaches
-/// this, and re-times any timed batch that falls short: below it, timer
-/// granularity and scheduler noise drown out sub-microsecond kernels and
-/// the measured ranking is meaningless.
-pub const MIN_BATCH_NS: f64 = 2e7;
-
-/// Cap on the repetition count: a kernel too cheap to fill
-/// [`MIN_BATCH_NS`] within this many calls is timed at the cap.
-const MAX_REPS: u64 = 1 << 20;
-
-/// Reduces the per-run ns-per-call samples of one measurement to
-/// `(median, relative spread)`. The median — not the mean — is what
-/// ranks candidates: one descheduled run inflates a mean enough to flip
-/// adjacent ranks, while the median ignores it. Returns `None` on an
-/// empty slice.
-pub fn summarize_runs(runs: &[f64]) -> Option<(f64, f64)> {
-    if runs.is_empty() {
-        return None;
-    }
-    let mut sorted = runs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = sorted.len();
-    let median = if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    };
-    let spread = if median > 0.0 {
-        (sorted[n - 1] - sorted[0]) / median
-    } else {
-        0.0
-    };
-    Some((median, spread))
-}
-
 /// Starting repetition count for a candidate's calibration, matched to
 /// its simulated cost so cheap kernels need fewer calibration batches
 /// and expensive ones start low.
 fn reps_for(cycles: u64) -> u64 {
     (20_000_000 / cycles.max(1)).clamp(3, 5_000)
 }
-
-/// Wall-clock allowance per candidate in one timing process: a bounded
-/// repetition loop finishes in well under a minute; past that it is
-/// hung.
-const RUN_TIMEOUT_PER_CANDIDATE: Duration = Duration::from_secs(60);
 
 /// A candidate ready to go into a unit.
 struct Planned {
@@ -181,8 +126,8 @@ struct UnitKey {
     cflags: Vec<String>,
     /// Instructions demoted to their scalar bodies.
     scalar_fallback: Vec<String>,
-    /// The synthesized inputs, shared by the unit's driver.
-    inputs: Vec<SynthArg>,
+    /// The synthesized arguments, shared by the unit's driver.
+    inputs: Vec<TimedArg>,
 }
 
 /// Renames candidate `index`, decides its emission mode and works out its
@@ -222,7 +167,10 @@ fn plan(
         native,
         cflags: solo.cflags,
         scalar_fallback: solo.scalar_fallback,
-        inputs: synth_inputs(&renamed, input_seed)?,
+        inputs: synth_inputs(&renamed, input_seed)?
+            .iter()
+            .map(TimedArg::from)
+            .collect(),
     };
     Ok(Planned {
         proc: renamed,
@@ -231,315 +179,13 @@ fn plan(
     })
 }
 
-/// The C element type of a synthesized tensor.
-fn c_elem(elem: DataType) -> &'static str {
-    match elem {
-        DataType::F32 => "float",
-        DataType::F64 => "double",
-        DataType::I8 => "int8_t",
-        DataType::I32 => "int32_t",
-        DataType::Bool => "bool",
-        DataType::Index => "int64_t",
-    }
-}
-
-/// Emits the timing driver for a unit: `unit_code` holds the candidate
-/// functions `roots`, all called on `inputs`, calibrating from `reps`.
-///
-/// Its `main` takes candidate positions (indices into `roots`) as
-/// arguments. For each, it prints `run <pos>` before every batch, so a
-/// crash can be attributed, and `<pos> <ns/call> <batch ns>` after each
-/// of the [`TIMED_RUNS`] timed batches. All output is flushed line by
-/// line.
-fn emit_timing_driver(
-    unit_code: &str,
-    roots: &[Proc],
-    inputs: &[SynthArg],
-    reps: &[u64],
-) -> String {
-    let mut s = String::with_capacity(unit_code.len() + 4096);
-    // clock_gettime is POSIX, hidden by -std=c99 unless requested before
-    // the first include.
-    s.push_str("#define _POSIX_C_SOURCE 199309L\n");
-    s.push_str("#include <math.h>\n#include <stdio.h>\n#include <stdlib.h>\n");
-    s.push_str("#include <string.h>\n#include <time.h>\n\n");
-    s.push_str(unit_code);
-    s.push('\n');
-    // Inputs: a const master per tensor, copied into the working buffer
-    // by exo_reset() before every warm-up and timed batch.
-    let mut call_args = Vec::with_capacity(inputs.len());
-    let mut reset = String::new();
-    for (k, input) in inputs.iter().enumerate() {
-        let var = format!("exo_arg_{k}");
-        match input {
-            SynthArg::Size(v) | SynthArg::Int(v) => call_args.push(format!("{v}")),
-            SynthArg::Float(v) => call_args.push(exo_ir::format_float(*v)),
-            SynthArg::Bool(b) => call_args.push(if *b { "1" } else { "0" }.to_string()),
-            SynthArg::Tensor {
-                dims,
-                data,
-                elem,
-                window,
-            } => {
-                let celem = c_elem(*elem);
-                let init: Vec<String> = data
-                    .iter()
-                    .map(|v| {
-                        if elem.is_float() {
-                            exo_ir::format_float(*v)
-                        } else {
-                            format!("{}", *v as i64)
-                        }
-                    })
-                    .collect();
-                s.push_str(&format!(
-                    "static const {celem} exo_master_{k}[{}] = {{ {} }};\n\
-                     static {celem} {var}[{}];\n",
-                    data.len(),
-                    init.join(", "),
-                    data.len()
-                ));
-                reset.push_str(&format!(
-                    "    memcpy({var}, exo_master_{k}, sizeof {var});\n"
-                ));
-                if dims.is_empty() || !*window {
-                    call_args.push(var.clone());
-                } else {
-                    let mut strides = vec![1i64; dims.len()];
-                    for d in (0..dims.len().saturating_sub(1)).rev() {
-                        strides[d] = strides[d + 1] * dims[d + 1] as i64;
-                    }
-                    let tag = exo_machine::c_type_tag(*elem);
-                    let ss: Vec<String> = strides.iter().map(|v| v.to_string()).collect();
-                    call_args.push(format!(
-                        "(struct exo_win_{}{tag}){{ {var}, {{ {} }} }}",
-                        dims.len(),
-                        ss.join(", ")
-                    ));
-                }
-            }
-        }
-    }
-    let args = call_args.join(", ");
-    s.push_str(&format!("\nstatic void exo_reset(void) {{\n{reset}}}\n"));
-    // One batch function per candidate: the timed loop calls the
-    // candidate directly, exactly as a one-candidate driver would.
-    let mut table = Vec::with_capacity(roots.len());
-    for (pos, root) in roots.iter().enumerate() {
-        let name = root.name();
-        s.push_str(&format!(
-            r#"
-static double exo_batch_{pos}(long exo_reps) {{
-    struct timespec exo_t0, exo_t1;
-    clock_gettime(CLOCK_MONOTONIC, &exo_t0);
-    for (long exo_r = 0; exo_r < exo_reps; exo_r++) {{
-        {name}({args});
-    }}
-    clock_gettime(CLOCK_MONOTONIC, &exo_t1);
-    return (double)(exo_t1.tv_sec - exo_t0.tv_sec) * 1e9 + (double)(exo_t1.tv_nsec - exo_t0.tv_nsec);
-}}
-"#
-        ));
-        table.push(format!("exo_batch_{pos}"));
-    }
-    let table = table.join(", ");
-    let starts: Vec<String> = reps.iter().map(|r| r.to_string()).collect();
-    let starts = starts.join(", ");
-    let n = roots.len();
-    // Calibration extrapolates: the next count is the one the last batch
-    // predicts would span MIN_BATCH_NS, plus 5%, so one or two batches
-    // usually suffice where blind doubling overshoots.
-    s.push_str(&format!(
-        r#"
-static double (*const exo_batch[{n}])(long) = {{ {table} }};
-static const long exo_start_reps[{n}] = {{ {starts} }};
-
-/* Times candidate c until one batch spans MIN_BATCH_NS or the count is
-   capped; returns that batch's nanoseconds. Every batch, re-timed ones
-   included, starts from the master inputs. */
-static double exo_timed(int c, long *reps) {{
-    for (;;) {{
-        exo_reset();
-        double ns = exo_batch[c](*reps);
-        if (ns >= {MIN_BATCH_NS:.1} || *reps >= {MAX_REPS}L) return ns;
-        double next = ceil((double)*reps * {MIN_BATCH_NS:.1} / (ns > 1.0 ? ns : 1.0) * 1.05);
-        *reps = next >= {MAX_REPS}.0 ? {MAX_REPS}L : (long)next;
-    }}
-}}
-
-static void exo_start(int c) {{
-    printf("run %d\n", c);
-    fflush(stdout);
-}}
-
-int main(int argc, char **argv) {{
-    int exo_ids[{n}];
-    long exo_reps[{n}];
-    int exo_n = argc - 1;
-    if (exo_n < 1 || exo_n > {n}) return 2;
-    for (int a = 0; a < exo_n; a++) {{
-        exo_ids[a] = atoi(argv[a + 1]);
-        if (exo_ids[a] < 0 || exo_ids[a] >= {n}) return 2;
-    }}
-    for (int a = 0; a < exo_n; a++) {{
-        exo_start(exo_ids[a]);
-        exo_reset();
-        exo_batch[exo_ids[a]](2);
-        exo_reps[a] = exo_start_reps[exo_ids[a]];
-        exo_timed(exo_ids[a], &exo_reps[a]);
-    }}
-    for (int round = 0; round < {TIMED_RUNS}; round++) {{
-        for (int a = 0; a < exo_n; a++) {{
-            exo_start(exo_ids[a]);
-            double ns = exo_timed(exo_ids[a], &exo_reps[a]);
-            printf("%d %.17g %.17g\n", exo_ids[a], ns / (double)exo_reps[a], ns);
-            fflush(stdout);
-        }}
-    }}
-    return 0;
-}}
-"#
-    ));
-    s
-}
-
-/// What one timing process printed.
-#[derive(Default)]
-struct Report {
-    /// Per candidate position: ns-per-call of each timed batch.
-    runs: BTreeMap<usize, Vec<f64>>,
-    /// The candidate whose batch was last started.
-    running: Option<usize>,
-}
-
-impl Report {
-    fn parse(stdout: &str) -> Report {
-        let mut report = Report::default();
-        for line in stdout.lines() {
-            let mut fields = line.split_ascii_whitespace();
-            match (fields.next(), fields.next()) {
-                (Some("run"), Some(pos)) => report.running = pos.parse().ok(),
-                (Some(pos), Some(ns)) => {
-                    if let (Ok(pos), Ok(ns)) = (pos.parse(), ns.parse()) {
-                        report.runs.entry(pos).or_default().push(ns);
-                    }
-                }
-                _ => {}
-            }
-        }
-        report
-    }
-
-    /// The `(median, spread)` of candidate `pos`, or why there is none.
-    fn summary(&self, pos: usize) -> Outcome {
-        self.runs
-            .get(&pos)
-            .and_then(|runs| summarize_runs(runs))
-            .ok_or_else(|| "the timing process printed no runs for this candidate".to_string())
-    }
-}
-
-/// One candidate's `(median ns, spread)`, or why it has none.
-type Outcome = Result<(f64, f64), String>;
-
-/// An outcome per candidate position.
-type Outcomes = Vec<Outcome>;
-
-/// Runs the timing binary over candidate positions `pending` until each
-/// has an outcome. When a process crashes or hangs, the candidate it was
-/// running fails, candidates that completed every round keep their
-/// result, and the rest run again in a fresh process.
-fn run_share(bin: &Path, mut pending: Vec<usize>) -> Vec<(usize, Outcome)> {
-    let mut done = Vec::with_capacity(pending.len());
-    while !pending.is_empty() {
-        let mut cmd = Command::new(bin);
-        cmd.args(pending.iter().map(usize::to_string));
-        let guard = GuardConfig::with_timeout(RUN_TIMEOUT_PER_CANDIDATE * pending.len() as u32);
-        let (stdout, failure) = match run_guarded(&mut cmd, &guard) {
-            Ok(out) if out.success => (out.stdout_lossy(), None),
-            Ok(out) => {
-                let why = match out.code {
-                    Some(code) => format!("exited with status {code}"),
-                    None => "was killed by a signal".to_string(),
-                };
-                (out.stdout_lossy(), Some(why))
-            }
-            Err(GuardError::TimedOut {
-                timeout, stdout, ..
-            }) => (
-                String::from_utf8_lossy(&stdout).into_owned(),
-                Some(format!("was killed at the {timeout:?} wall-clock limit")),
-            ),
-            Err(e) => (String::new(), Some(format!("could not run: {e}"))),
-        };
-        let report = Report::parse(&stdout);
-        let Some(why) = failure else {
-            done.extend(pending.drain(..).map(|pos| (pos, report.summary(pos))));
-            break;
-        };
-        match report.running.filter(|c| pending.contains(c)) {
-            Some(culprit) => {
-                done.push((
-                    culprit,
-                    Err(format!(
-                        "the timing process {why} while running this candidate"
-                    )),
-                ));
-                pending.retain(|&pos| pos != culprit);
-                let (finished, rest): (Vec<usize>, Vec<usize>) = pending
-                    .iter()
-                    .partition(|pos| report.runs.get(pos).map_or(0, Vec::len) >= TIMED_RUNS);
-                done.extend(finished.into_iter().map(|pos| (pos, report.summary(pos))));
-                pending = rest;
-            }
-            None => {
-                let err = format!("the timing process {why} before timing any candidate");
-                done.extend(pending.drain(..).map(|pos| (pos, Err(err.clone()))));
-            }
-        }
-    }
-    done
-}
-
-/// Runs the timing binary of an `n`-candidate unit as `threads`
-/// concurrent processes over disjoint candidate sets. The process count
-/// is clipped to the host's parallelism: an oversubscribed CPU would
-/// time the scheduler, not the kernels.
-fn run_unit(bin: &Path, n: usize, threads: usize) -> Outcomes {
-    let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let workers = threads.min(cpus).clamp(1, n.max(1));
-    let shares: Vec<Vec<usize>> = (0..workers)
-        .map(|w| (w..n).step_by(workers).collect())
-        .collect();
-    // run_share reports every position it is given, so a position left
-    // without an outcome belongs to a thread that panicked.
-    let mut outcomes: Outcomes = vec![Err("the timing thread panicked".to_string()); n];
-    std::thread::scope(|scope| {
-        let Some((first, rest)) = shares.split_first() else {
-            return;
-        };
-        let handles: Vec<_> = rest
-            .iter()
-            .map(|share| scope.spawn(move || run_share(bin, share.clone())))
-            .collect();
-        // The first share runs on this thread, so its `guard:run` spans
-        // nest under the caller's `tune:measure-unit` span.
-        let mut done = run_share(bin, first.clone());
-        for handle in handles {
-            done.extend(handle.join().unwrap_or_default());
-        }
-        for (pos, outcome) in done {
-            outcomes[pos] = outcome;
-        }
-    });
-    outcomes
-}
-
 /// Emits the unit of `members` (candidates sharing one key) and its
-/// timing driver. Returns the driver source and the unit's `cflags`.
+/// timing driver, whose tensors are filled from `input_seed`. Returns the
+/// driver source and the unit's `cflags`.
 fn unit_source(
     registry: &ProcRegistry,
     members: &[&Planned],
+    input_seed: u64,
 ) -> Result<(String, Vec<String>), String> {
     let key = &members.first().ok_or("empty unit")?.key;
     let roots: Vec<Proc> = members.iter().map(|p| p.proc.clone()).collect();
@@ -550,8 +196,9 @@ fn unit_source(
     };
     let unit =
         emit_c_roots(&roots, registry, &opts).map_err(|e| format!("emitting the unit: {e}"))?;
+    let names: Vec<&str> = roots.iter().map(Proc::name).collect();
     let reps: Vec<u64> = members.iter().map(|p| p.reps).collect();
-    let driver = emit_timing_driver(&unit.code, &roots, &key.inputs, &reps);
+    let driver = emit_timed_driver(&unit.code, &names, &key.inputs, &reps, input_seed);
     Ok((driver, unit.cflags))
 }
 
@@ -652,7 +299,7 @@ fn measure_with(
             .iter()
             .filter_map(|&i| planned.get(i).and_then(Option::as_ref))
             .collect();
-        let (mut source, cflags) = unit_source(reg, &members_planned)?;
+        let (mut source, cflags) = unit_source(reg, &members_planned, input_seed)?;
         patch(members, &mut source);
         Ok((source, cflags))
     };
@@ -688,12 +335,12 @@ fn measure_with(
                 compile(&source, &cflags, kernel)?
             }
         };
-        let outcomes = run_unit(&bin, members.len(), threads);
-        remove_unit_dir(&bin);
+        let outcomes = run_unit(&bin, members.len(), threads, &[]);
+        remove_build_dir(&bin);
         Ok(outcomes)
     });
     for bin in prebuilt.into_inner().into_values().flatten() {
-        remove_unit_dir(&bin);
+        remove_build_dir(&bin);
     }
     for (i, m) in failed {
         results[i] = m;
@@ -732,17 +379,10 @@ fn build_units(jobs: &[Job], tag: &str) -> Vec<(Vec<usize>, Result<PathBuf, Stri
     })
 }
 
-/// Removes the temporary directory of a unit's binary.
-fn remove_unit_dir(bin: &Path) {
-    if let Some(dir) = bin.parent() {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-}
-
 /// Builds and times one unit holding the given batch indices (never
 /// empty): one outcome per index, in order, or the reason the unit as a
 /// whole could not be built.
-pub(crate) type UnitTimer<'a> = &'a dyn Fn(&ProcRegistry, &[usize]) -> Result<Outcomes, String>;
+pub(crate) type UnitTimer<'a> = &'a dyn Fn(&ProcRegistry, &[usize]) -> Result<Vec<Outcome>, String>;
 
 /// The failure-isolation core of [`measure_batch`], with an injectable
 /// unit timer so the contract is testable without a C toolchain. Times
@@ -789,16 +429,19 @@ pub(crate) fn measure_batch_impl(
 mod tests {
     use super::*;
     use exo_cursors::ProcHandle;
+    use exo_guard::{run_guarded, GuardConfig};
     use exo_kernels::{scal, Precision};
     use exo_lib::{apply_script, schedule_of_record, ScheduleScript};
     use exo_machine::MachineModel;
+    use std::process::Command;
+    use std::time::Duration;
 
     fn batch_of(n: usize) -> Vec<(Proc, u64)> {
         (0..n).map(|_| (scal(Precision::Single), 100u64)).collect()
     }
 
     /// A fake timer reporting `i` ns for every candidate `i` it is given.
-    fn ok_outcomes(members: &[usize]) -> Outcomes {
+    fn ok_outcomes(members: &[usize]) -> Vec<Outcome> {
         members.iter().map(|&i| Ok((i as f64, 0.0))).collect()
     }
 
@@ -1112,126 +755,8 @@ mod tests {
             ("driver_scalar", &scalar),
             ("driver_vectorized", &vectorized),
         ] {
-            let (src, cflags) = unit_source(&registry, &[p]).unwrap();
+            let (src, cflags) = unit_source(&registry, &[p], 1).unwrap();
             assert!(same_binary_without_the_cache(&src, &cflags, tag), "{tag}");
-        }
-    }
-
-    #[test]
-    fn a_crashing_candidate_fails_and_later_ones_are_still_measured() {
-        if !cc_available() {
-            eprintln!("skipping: no C compiler (`cc`) on PATH");
-            return;
-        }
-        let machine = MachineModel::scalar();
-        // One process runs all four, so 2 and 3 come after the crash.
-        let results = measure_with(&batch_of(4), &machine, 1, 1, false, &|_, src| {
-            inject(src, 1, "abort();");
-        });
-        for (i, m) in results.iter().enumerate() {
-            if i == 1 {
-                let err = m.error().expect("candidate 1 fails");
-                assert!(matches!(m, Measurement::Failed(_)), "{m:?}");
-                assert!(err.contains("while running this candidate"), "{err}");
-            } else {
-                assert!(m.nanos().is_some_and(|ns| ns > 0.0), "candidate {i}: {m:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn every_reported_batch_spans_min_batch_ns() {
-        if !cc_available() {
-            eprintln!("skipping: no C compiler (`cc`) on PATH");
-            return;
-        }
-        let machine = MachineModel::scalar();
-        let registry = build_registry(&machine);
-        let planned: Vec<Planned> = batch_of(2)
-            .iter()
-            .enumerate()
-            .map(|(i, (p, cycles))| plan(p, *cycles, i, &registry, 1, false).unwrap())
-            .collect();
-        let members: Vec<&Planned> = planned.iter().collect();
-        let (src, cflags) = unit_source(&registry, &members).unwrap();
-        let bin = compile(&src, &cflags, "batch_span").unwrap();
-        let out = run_guarded(
-            Command::new(&bin).args(["0", "1"]),
-            &GuardConfig::with_timeout(Duration::from_secs(60)),
-        )
-        .unwrap();
-        if let Some(dir) = bin.parent() {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        assert!(out.success);
-        let mut order = Vec::new();
-        for line in out.stdout_lossy().lines() {
-            let f: Vec<&str> = line.split_ascii_whitespace().collect();
-            if f[0] == "run" {
-                continue;
-            }
-            let (pos, per_call, batch): (usize, f64, f64) = (
-                f[0].parse().unwrap(),
-                f[1].parse().unwrap(),
-                f[2].parse().unwrap(),
-            );
-            let reps = (batch / per_call).round();
-            assert!(
-                batch >= MIN_BATCH_NS || reps >= MAX_REPS as f64,
-                "candidate {pos}: batch of {reps} reps spans only {batch} ns"
-            );
-            order.push(pos);
-        }
-        // Interleaved rounds: every candidate once per round.
-        let want: Vec<usize> = (0..TIMED_RUNS).flat_map(|_| [0, 1]).collect();
-        assert_eq!(order, want);
-    }
-
-    /// Makes every batch function of `members` abort unless the inputs
-    /// equal their masters when the batch starts.
-    fn check_pristine_inputs(src: &mut String, members: &[usize]) {
-        let checks: String = (0..16)
-            .filter(|k| src.contains(&format!("exo_master_{k}[")))
-            .map(|k| {
-                format!(
-                    "    if (memcmp(exo_arg_{k}, exo_master_{k}, sizeof exo_arg_{k}) != 0) abort();\n"
-                )
-            })
-            .collect();
-        assert!(!checks.is_empty(), "the unit has no tensor inputs");
-        for pos in 0..members.len() {
-            let head = format!("static double exo_batch_{pos}(long exo_reps) ") + "\u{7b}\n";
-            let at = src.find(&head).expect("batch function") + head.len();
-            src.insert_str(at, &checks);
-        }
-    }
-
-    #[test]
-    fn every_batch_starts_from_the_master_inputs() {
-        if !cc_available() {
-            eprintln!("skipping: no C compiler (`cc`) on PATH");
-            return;
-        }
-        let machine = MachineModel::scalar();
-        // scal scales `x` in place, so a batch that did not start from the
-        // master would see the previous batch's output.
-        let results = measure_with(&batch_of(2), &machine, 1, 1, false, &|members, src| {
-            check_pristine_inputs(src, members);
-        });
-        for (i, m) in results.iter().enumerate() {
-            assert!(m.nanos().is_some(), "candidate {i}: {m:?}");
-        }
-        // Premise: without the reset before each batch, the check fires.
-        let results = measure_with(&batch_of(2), &machine, 1, 1, false, &|members, src| {
-            check_pristine_inputs(src, members);
-            *src = src.replacen(
-                "        exo_reset();\n        double ns",
-                "        double ns",
-                1,
-            );
-        });
-        for (i, m) in results.iter().enumerate() {
-            assert!(matches!(m, Measurement::Failed(_)), "candidate {i}: {m:?}");
         }
     }
 
@@ -1273,7 +798,7 @@ mod tests {
             );
         }
         for p in &planned {
-            let (_, cflags) = unit_source(&registry, &[p]).unwrap();
+            let (_, cflags) = unit_source(&registry, &[p], 1).unwrap();
             assert_eq!(cflags, p.key.cflags);
         }
         let units = std::cell::RefCell::new(Vec::new());
@@ -1287,36 +812,5 @@ mod tests {
             vec![vec![0, 1]]
         };
         assert_eq!(*units.borrow(), want);
-    }
-
-    #[test]
-    fn median_summary_survives_single_run_jitter() {
-        // Candidate A is genuinely faster (runs ~100ns) than candidate B
-        // (~110ns), but each has one descheduled outlier. Means would
-        // flip the ranking (A: 108, B: 102); medians must not.
-        let runs_a = [100.0, 140.0, 99.0, 101.0, 100.0];
-        let runs_b = [110.0, 109.0, 111.0, 70.0, 110.0];
-        let (med_a, spread_a) = summarize_runs(&runs_a).unwrap();
-        let (med_b, spread_b) = summarize_runs(&runs_b).unwrap();
-        let mean = |r: &[f64]| r.iter().sum::<f64>() / r.len() as f64;
-        assert!(
-            mean(&runs_a) > mean(&runs_b),
-            "premise: the means rank them backwards"
-        );
-        assert!(
-            med_a < med_b,
-            "median ranking flipped by jitter: {med_a} vs {med_b}"
-        );
-        // The spread exposes exactly how noisy each measurement was.
-        assert!((spread_a - 41.0 / 100.0).abs() < 1e-12);
-        assert!((spread_b - 41.0 / 110.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summarize_runs_handles_degenerate_input() {
-        assert_eq!(summarize_runs(&[]), None);
-        assert_eq!(summarize_runs(&[7.0]), Some((7.0, 0.0)));
-        // Even run count: median is the mean of the middle two.
-        assert_eq!(summarize_runs(&[4.0, 2.0]), Some((3.0, 2.0 / 3.0)));
     }
 }

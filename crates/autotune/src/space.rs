@@ -10,36 +10,12 @@
 //! Pre-filtering here would hide the pruning statistics the fidelity
 //! report tracks.
 
+use exo_codegen::difftest::Rng;
 use exo_cursors::ProcHandle;
 use exo_ir::Stmt;
 use exo_lib::{LoopSel, SchedStep, ScheduleScript};
 use exo_machine::MachineModel;
 use std::collections::BTreeSet;
-
-/// Deterministic xorshift64* stream (same generator as the differential
-/// harness, so seeds are comparable across tools).
-pub struct Rng(u64);
-
-impl Rng {
-    /// A stream seeded with `seed` (zero is mapped to an odd constant).
-    pub fn new(seed: u64) -> Self {
-        Rng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    /// Uniform value below `n` (`n > 0`).
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
 
 fn collect_loops(block: &exo_ir::Block, out: &mut Vec<String>) {
     for stmt in block {

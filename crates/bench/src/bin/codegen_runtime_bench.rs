@@ -16,12 +16,14 @@
 //!   would time oversubscription, not scaling).
 //!
 //! Every variant is first *differentially validated* against the
-//! interpreter (same harness as `codegen_bench`), then timed: buffers
-//! are heap-allocated and deterministically initialized, the kernel is
-//! warmed, the repetition count is calibrated until one batch spans at
-//! least 20 ms, and [`exo_autotune::measure::TIMED_RUNS`] independently
-//! timed batches are summarized by their median (single descheduled
-//! runs cannot flip rankings) with a max−min spread.
+//! interpreter (same harness as `codegen_bench`), then timed by the
+//! shared native harness ([`exo_codegen::timing`], the autotuner's too):
+//! each variant is a one-candidate unit, compiled once and run once per
+//! thread count. Its driver fills the tensors from a seed, resets them
+//! before every batch, calibrates the repetition count until one batch
+//! spans at least 20 ms, and times [`TIMED_RUNS`] batches, summarized by
+//! their median (single descheduled runs cannot flip rankings) with a
+//! max−min spread.
 //!
 //! Variants the host cannot execute (no AVX2, no `-fopenmp`) are
 //! compile-checked and reported as skipped — logged, never silent.
@@ -41,20 +43,18 @@
 //! cargo run --release -p exo-bench --bin codegen_runtime_bench
 //! ```
 
-use exo_autotune::measure::{summarize_runs, TIMED_RUNS};
 use exo_codegen::difftest::{
-    arg_shapes, cc_available, choose_size, compile, compile_check, run_differential_with, ArgShape,
-    DiffOutcome,
+    arg_shapes, cc_available, choose_size, compile, compile_check, remove_build_dir,
+    run_differential_with, DiffOutcome,
 };
+use exo_codegen::timing::{emit_timed_driver, run_unit, TimedArg};
 use exo_codegen::{emit_c, CUnit, CodegenOptions};
 use exo_cursors::ProcHandle;
-use exo_guard::{run_guarded, GuardConfig};
 use exo_interp::ProcRegistry;
 use exo_ir::{DataType, Proc};
 use exo_kernels::{blur2d, gemv, sgemm, Precision};
 use exo_lib::{apply_script, schedule_of_record, LoopSel, SchedStep};
 use exo_machine::{HostCaps, MachineModel};
-use std::time::Duration;
 
 /// OpenMP thread counts the `avx2_omp` variant is timed at.
 const THREAD_COUNTS: [usize; 2] = [1, 2];
@@ -144,115 +144,30 @@ fn workloads(machine: &MachineModel, smoke: bool) -> Vec<Workload> {
     v
 }
 
-fn c_elem(ty: DataType) -> &'static str {
-    match ty {
-        DataType::F32 => "float",
-        DataType::F64 => "double",
-        DataType::I8 => "int8_t",
-        DataType::I32 => "int32_t",
-        other => fail(&format!("no timing-driver element type for {other:?}")),
-    }
-}
-
-/// A `main` that heap-allocates and deterministically initializes every
-/// tensor argument, warms the kernel, calibrates a repetition count
-/// until one batch spans ≥ 20 ms, then prints `TIMED_RUNS` ns-per-call
-/// lines (one independently timed batch each).
-fn emit_runtime_driver(unit: &CUnit, proc: &Proc, shapes: &[ArgShape]) -> String {
-    let mut s = String::with_capacity(unit.code.len() + 4096);
-    // clock_gettime is POSIX, hidden by -std=c99 unless requested before
-    // the first include.
-    s.push_str("#define _POSIX_C_SOURCE 199309L\n");
-    s.push_str(&unit.code);
-    s.push_str(
-        "\n#include <stdio.h>\n#include <stdlib.h>\n#include <time.h>\n\n\
-         static double exo_now_ns(void) {\n    \
-         struct timespec exo_t;\n    \
-         clock_gettime(CLOCK_MONOTONIC, &exo_t);\n    \
-         return (double)exo_t.tv_sec * 1e9 + (double)exo_t.tv_nsec;\n}\n\n\
-         int main(void) {\n",
-    );
-    let mut call_args = Vec::with_capacity(shapes.len());
-    for (k, shape) in shapes.iter().enumerate() {
-        let var = format!("exo_arg_{k}");
-        match shape {
-            ArgShape::Size(v) => call_args.push(format!("{v}")),
-            ArgShape::Scalar(ty) => call_args.push(match ty {
-                DataType::F32 => "0.5f".to_string(),
-                DataType::F64 => "0.5".to_string(),
-                _ => "1".to_string(),
-            }),
-            ArgShape::Tensor(ty, dims) => {
-                let elem = c_elem(*ty);
-                let len: usize = dims.iter().product();
-                // Small mixed-sign values: accumulating kernels stay far
-                // from overflow across thousands of repetitions.
-                s.push_str(&format!(
-                    "    {elem} *{var} = ({elem} *)malloc(sizeof({elem}) * {len});\n    \
-                     if (!{var}) return 2;\n    \
-                     for (long exo_i = 0; exo_i < {len}; exo_i++)\n        \
-                     {var}[exo_i] = ({elem})((exo_i * 7 + 3) % 11 - 5) / 8;\n"
-                ));
-                call_args.push(var);
-            }
-        }
-    }
-    let call = format!("{}({});", proc.name(), call_args.join(", "));
-    s.push_str(&format!(
-        "    {call}\n    {call}\n    \
-         long exo_reps = 1;\n    \
-         for (;;) {{\n        \
-         double exo_t0 = exo_now_ns();\n        \
-         for (long exo_r = 0; exo_r < exo_reps; exo_r++) {{ {call} }}\n        \
-         if (exo_now_ns() - exo_t0 >= 2e7 || exo_reps >= (1L << 20)) break;\n        \
-         exo_reps *= 2;\n    }}\n    \
-         for (int exo_run = 0; exo_run < {TIMED_RUNS}; exo_run++) {{\n        \
-         double exo_t0 = exo_now_ns();\n        \
-         for (long exo_r = 0; exo_r < exo_reps; exo_r++) {{ {call} }}\n        \
-         printf(\"%.17g\\n\", (exo_now_ns() - exo_t0) / (double)exo_reps);\n    }}\n    \
-         return 0;\n}}\n"
-    ));
-    s
-}
-
-/// Compiles and runs the timing driver at the given OpenMP thread count,
-/// returning `(median ns/call, relative spread)`.
+/// Times `proc`'s unit as a one-candidate unit of the shared harness:
+/// compiled once, then run once per OpenMP thread count. Returns one
+/// `(median ns/call, relative spread)` per count.
 fn time_variant(
     unit: &CUnit,
     proc: &Proc,
-    shapes: &[ArgShape],
+    args: &[TimedArg],
     tag: &str,
-    threads: usize,
-) -> Result<(f64, f64), String> {
-    let driver = emit_runtime_driver(unit, proc, shapes);
-    let bin = compile(&driver, &unit.cflags, tag)?;
-    let mut cmd = std::process::Command::new(&bin);
-    cmd.env("OMP_NUM_THREADS", threads.to_string());
-    // A calibrated batch spans ~20 ms and there are TIMED_RUNS + ~2 of
-    // them; minutes means the binary is hung, not slow.
-    let output = run_guarded(
-        &mut cmd,
-        &GuardConfig::with_timeout(Duration::from_secs(120)),
-    );
-    if let Some(dir) = bin.parent() {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-    let output = output.map_err(|e| format!("running {}: {e}", bin.display()))?;
-    if !output.success {
-        return Err(format!(
-            "timing binary `{tag}` exited with {:?}",
-            output.code
-        ));
-    }
-    let runs: Vec<f64> = output
-        .stdout_lossy()
-        .split_ascii_whitespace()
+    threads: &[usize],
+) -> Vec<Result<(f64, f64), String>> {
+    let driver = emit_timed_driver(&unit.code, &[proc.name()], args, &[1], 1);
+    let bin = match compile(&driver, &unit.cflags, tag) {
+        Ok(bin) => bin,
+        Err(e) => return threads.iter().map(|_| Err(e.clone())).collect(),
+    };
+    let runs = threads
+        .iter()
         .map(|t| {
-            t.parse::<f64>()
-                .map_err(|e| format!("bad timing output for `{tag}`: {e}"))
+            let env = [("OMP_NUM_THREADS", t.to_string())];
+            run_unit(&bin, 1, 1, &env).remove(0)
         })
-        .collect::<Result<_, _>>()?;
-    summarize_runs(&runs).ok_or_else(|| format!("timing binary `{tag}` printed no runs"))
+        .collect();
+    remove_build_dir(&bin);
+    runs
 }
 
 /// One timed (or skipped) row of the report.
@@ -278,7 +193,7 @@ fn bench_variant(
     proc: &Proc,
     registry: &ProcRegistry,
     opts: &CodegenOptions,
-    shapes: &[ArgShape],
+    args: &[TimedArg],
     threads: &[usize],
 ) -> Vec<Row> {
     let caps = HostCaps::detect();
@@ -321,19 +236,16 @@ fn bench_variant(
         }
         Err(e) => fail(&format!("`{}` ({variant}) differential: {e}", proc.name())),
     };
+    let tag = format!("{}_{variant}", proc.name());
+    let timings = time_variant(&unit, proc, args, &tag, threads);
     threads
         .iter()
-        .map(|&t| Row {
+        .zip(timings)
+        .map(|(&t, timing)| Row {
             variant,
             threads: t,
             differential,
-            timing: time_variant(
-                &unit,
-                proc,
-                shapes,
-                &format!("{}_{variant}_t{t}", proc.name()),
-                t,
-            ),
+            timing,
         })
         .collect()
 }
@@ -367,8 +279,11 @@ fn omp_thread_counts() -> Vec<usize> {
 fn bench_workload(w: &Workload, registry: &ProcRegistry, omp_threads: &[usize]) -> KernelReport {
     let size = choose_size(&w.base, w.sizes)
         .unwrap_or_else(|e| fail(&format!("sizing `{}`: {e}", w.name)));
-    let shapes =
-        arg_shapes(&w.base, size).unwrap_or_else(|e| fail(&format!("shaping `{}`: {e}", w.name)));
+    let args: Vec<TimedArg> = arg_shapes(&w.base, size)
+        .unwrap_or_else(|e| fail(&format!("shaping `{}`: {e}", w.name)))
+        .iter()
+        .map(TimedArg::from)
+        .collect();
     let flops = (w.flops)(size as f64);
     let mut rows = Vec::new();
     rows.extend(bench_variant(
@@ -376,7 +291,7 @@ fn bench_workload(w: &Workload, registry: &ProcRegistry, omp_threads: &[usize]) 
         &w.base,
         registry,
         &CodegenOptions::portable(),
-        &shapes,
+        &args,
         &[1],
     ));
     rows.extend(bench_variant(
@@ -384,7 +299,7 @@ fn bench_workload(w: &Workload, registry: &ProcRegistry, omp_threads: &[usize]) 
         &w.tuned,
         registry,
         &CodegenOptions::native(),
-        &shapes,
+        &args,
         &[1],
     ));
     rows.extend(bench_variant(
@@ -392,7 +307,7 @@ fn bench_workload(w: &Workload, registry: &ProcRegistry, omp_threads: &[usize]) 
         &w.omp,
         registry,
         &CodegenOptions::native_openmp(),
-        &shapes,
+        &args,
         omp_threads,
     ));
     KernelReport {
@@ -443,7 +358,10 @@ fn print_report(r: &KernelReport) {
 }
 
 fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
+        .replace('\t', "\\t")
 }
 
 fn json(reports: &[KernelReport], omp_threads: &[usize]) -> String {

@@ -13,11 +13,13 @@
 //! [`DiffOutcome::Skipped`] and callers log a notice instead of failing —
 //! CI always has `cc`, so the check cannot rot silently there.
 
+use crate::emit::c_type;
 use crate::{emit_c, pch, CUnit, CodegenOptions};
 use exo_guard::{run_guarded, GuardConfig};
-use exo_interp::{ArgValue, Interpreter, NullMonitor, ProcRegistry};
-use exo_ir::{ArgKind, BinOp, DataType, Expr, Proc, UnOp};
+use exo_interp::{ArgValue, BufRef, Interpreter, NullMonitor, ProcRegistry};
+use exo_ir::{ArgKind, BinOp, DataType, Expr, Proc, ProcArg, UnOp};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -73,13 +75,17 @@ pub enum DiffOutcome {
     Skipped(String),
 }
 
-/// Deterministic xorshift64* stream.
-struct Rng(u64);
+/// Deterministic xorshift64* stream: the generator behind the
+/// synthesized inputs and the autotuner's candidate sampler, so seeds are
+/// comparable across tools.
+pub struct Rng(u64);
 
 impl Rng {
-    fn new(seed: u64) -> Self {
+    /// A stream seeded with `seed` (zero is mapped to an odd constant).
+    pub fn new(seed: u64) -> Self {
         Rng(seed | 1)
     }
+
     fn next(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x >> 12;
@@ -91,6 +97,11 @@ impl Rng {
     /// Uniform integer in `[lo, hi]`.
     fn range(&mut self, lo: i64, hi: i64) -> i64 {
         lo + (self.next() % (hi - lo + 1) as u64) as i64
+    }
+
+    /// Uniform value below `n` (`n > 0`).
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
     }
 }
 
@@ -166,42 +177,59 @@ fn eval_pred(e: &Expr, sizes: &BTreeMap<String, i64>) -> Option<bool> {
     None
 }
 
-/// Synthesizes concrete arguments for `proc`: one shared size value that
-/// satisfies every assertion precondition, and integer-valued random
-/// tensor data small enough that all arithmetic is exact in the
-/// narrowest type involved (i8 data stays in `[-1, 1]` so even length-64
-/// reductions fit an `int8_t` store).
-pub fn synth_inputs(proc: &Proc, seed: u64) -> Result<Vec<SynthArg>, String> {
-    let size_names: Vec<String> = proc
-        .args()
+/// The shared size values [`synth_inputs`] tries, in order.
+const SYNTH_SIZES: [i64; 9] = [32, 16, 64, 96, 8, 48, 4, 2, 1];
+
+/// The range `[lo, hi]` synthesized tensor elements of type `elem` are
+/// drawn from: small enough that all arithmetic is exact in the
+/// narrowest type involved.
+pub(crate) fn elem_range(elem: DataType) -> (i64, i64) {
+    match elem {
+        DataType::I8 => (-1, 1),
+        DataType::I32 => (-2, 2),
+        DataType::Bool => (0, 1),
+        _ => (-8, 8),
+    }
+}
+
+/// Every size argument of `proc` bound to `size`.
+fn size_env(proc: &Proc, size: i64) -> BTreeMap<String, i64> {
+    proc.args()
         .iter()
         .filter(|a| matches!(a.kind, ArgKind::Size))
-        .map(|a| a.name.name().to_string())
-        .collect();
-    let mut chosen: Option<BTreeMap<String, i64>> = None;
-    for candidate in [32i64, 16, 64, 96, 8, 48, 4, 2, 1] {
-        let sizes: BTreeMap<String, i64> =
-            size_names.iter().map(|n| (n.clone(), candidate)).collect();
-        let ok = proc
-            .preds()
-            .iter()
-            .all(|p| eval_pred(p, &sizes).unwrap_or(false));
-        if ok || proc.preds().is_empty() {
-            chosen = Some(sizes);
-            break;
-        }
-    }
-    let sizes = chosen.ok_or_else(|| {
-        format!(
-            "no candidate size satisfies the assertions of `{}`",
-            proc.name()
-        )
-    })?;
+        .map(|a| (a.name.name().to_string(), size))
+        .collect()
+}
+
+/// The concrete extents of tensor argument `arg` under `sizes`.
+fn eval_dims(
+    arg: &ProcArg,
+    dims: &[Expr],
+    sizes: &BTreeMap<String, i64>,
+) -> Result<Vec<usize>, String> {
+    dims.iter()
+        .map(|d| {
+            let v = eval_int(d, sizes)
+                .ok_or_else(|| format!("cannot evaluate dimension `{d}` of `{}`", arg.name))?;
+            usize::try_from(v).map_err(|_| format!("negative dimension for `{}`", arg.name))
+        })
+        .collect()
+}
+
+/// Synthesizes concrete arguments for `proc`: one shared size value that
+/// satisfies every assertion precondition (the first of a fixed list of
+/// small sizes, see [`choose_size`]), and integer-valued random tensor
+/// data small enough that all arithmetic is exact in the narrowest type
+/// involved (i8 data stays in `[-1, 1]` so even length-64 reductions fit
+/// an `int8_t` store).
+pub fn synth_inputs(proc: &Proc, seed: u64) -> Result<Vec<SynthArg>, String> {
+    let size = choose_size(proc, &SYNTH_SIZES)?;
+    let sizes = size_env(proc, size);
     let mut rng = Rng::new(seed ^ 0x9E3779B97F4A7C15);
     let mut out = Vec::with_capacity(proc.args().len());
     for arg in proc.args() {
         match &arg.kind {
-            ArgKind::Size => out.push(SynthArg::Size(sizes[arg.name.name()])),
+            ArgKind::Size => out.push(SynthArg::Size(size)),
             ArgKind::Scalar { ty } => match ty {
                 DataType::F32 | DataType::F64 => out.push(SynthArg::Float(rng.range(-3, 3) as f64)),
                 DataType::Bool => out.push(SynthArg::Bool(true)),
@@ -210,26 +238,12 @@ pub fn synth_inputs(proc: &Proc, seed: u64) -> Result<Vec<SynthArg>, String> {
             ArgKind::Tensor {
                 ty, dims, window, ..
             } => {
-                let mut cdims = Vec::with_capacity(dims.len());
-                for d in dims {
-                    let v = eval_int(d, &sizes).ok_or_else(|| {
-                        format!("cannot evaluate dimension `{d}` of `{}`", arg.name)
-                    })?;
-                    if v < 0 {
-                        return Err(format!("negative dimension for `{}`", arg.name));
-                    }
-                    cdims.push(v as usize);
-                }
-                let n: usize = cdims.iter().product::<usize>().max(1);
-                let (lo, hi) = match ty {
-                    DataType::I8 => (-1, 1),
-                    DataType::I32 => (-2, 2),
-                    DataType::Bool => (0, 1),
-                    _ => (-8, 8),
-                };
+                let dims = eval_dims(arg, dims, &sizes)?;
+                let n: usize = dims.iter().product::<usize>().max(1);
+                let (lo, hi) = elem_range(*ty);
                 let data: Vec<f64> = (0..n).map(|_| rng.range(lo, hi) as f64).collect();
                 out.push(SynthArg::Tensor {
-                    dims: cdims,
+                    dims,
                     data,
                     elem: *ty,
                     window: *window,
@@ -262,15 +276,8 @@ pub enum ArgShape {
 /// # Errors
 /// When no candidate satisfies the assertions.
 pub fn choose_size(proc: &Proc, candidates: &[i64]) -> Result<i64, String> {
-    let size_names: Vec<String> = proc
-        .args()
-        .iter()
-        .filter(|a| matches!(a.kind, ArgKind::Size))
-        .map(|a| a.name.name().to_string())
-        .collect();
     for candidate in candidates {
-        let sizes: BTreeMap<String, i64> =
-            size_names.iter().map(|n| (n.clone(), *candidate)).collect();
+        let sizes = size_env(proc, *candidate);
         if proc.preds().is_empty()
             || proc
                 .preds()
@@ -290,16 +297,11 @@ pub fn choose_size(proc: &Proc, candidates: &[i64]) -> Result<i64, String> {
 /// one shared size value (as chosen by [`choose_size`]).
 ///
 /// # Errors
-/// On window arguments (a timing driver cannot synthesize the window
-/// struct ABI) and on dimension expressions that do not reduce to a
-/// constant under the size assignment.
+/// On window arguments (an [`ArgShape`] describes dense tensors only)
+/// and on dimension expressions that do not reduce to a constant under
+/// the size assignment.
 pub fn arg_shapes(proc: &Proc, size: i64) -> Result<Vec<ArgShape>, String> {
-    let sizes: BTreeMap<String, i64> = proc
-        .args()
-        .iter()
-        .filter(|a| matches!(a.kind, ArgKind::Size))
-        .map(|a| (a.name.name().to_string(), size))
-        .collect();
+    let sizes = size_env(proc, size);
     let mut out = Vec::with_capacity(proc.args().len());
     for arg in proc.args() {
         match &arg.kind {
@@ -310,35 +312,21 @@ pub fn arg_shapes(proc: &Proc, size: i64) -> Result<Vec<ArgShape>, String> {
             } => {
                 if *window {
                     return Err(format!(
-                        "`{}`: window argument `{}` is not supported by the timing driver",
+                        "`{}`: window argument `{}` has no dense shape",
                         proc.name(),
                         arg.name
                     ));
                 }
-                let mut extents = Vec::with_capacity(dims.len());
-                for d in dims {
-                    let v = eval_int(d, &sizes).ok_or_else(|| {
-                        format!("cannot evaluate dimension `{d}` of `{}`", arg.name)
-                    })?;
-                    if v < 0 {
-                        return Err(format!("negative dimension for `{}`", arg.name));
-                    }
-                    extents.push(v as usize);
-                }
-                out.push(ArgShape::Tensor(*ty, extents));
+                out.push(ArgShape::Tensor(*ty, eval_dims(arg, dims, &sizes)?));
             }
         }
     }
     Ok(out)
 }
 
-/// Runs the interpreter on `proc` with the synthesized inputs and
-/// returns the final contents of every tensor argument, in order.
-pub fn interp_outputs(
-    proc: &Proc,
-    registry: &ProcRegistry,
-    inputs: &[SynthArg],
-) -> Result<Vec<Vec<f64>>, String> {
+/// The interpreter's arguments for synthesized inputs, plus the buffer
+/// of every tensor argument, in order.
+pub fn arg_values(inputs: &[SynthArg]) -> (Vec<ArgValue>, Vec<BufRef>) {
     let mut bufs = Vec::new();
     let mut args = Vec::with_capacity(inputs.len());
     for input in inputs {
@@ -355,6 +343,17 @@ pub fn interp_outputs(
             }
         }
     }
+    (args, bufs)
+}
+
+/// Runs the interpreter on `proc` with the synthesized inputs and
+/// returns the final contents of every tensor argument, in order.
+pub fn interp_outputs(
+    proc: &Proc,
+    registry: &ProcRegistry,
+    inputs: &[SynthArg],
+) -> Result<Vec<Vec<f64>>, String> {
+    let (args, bufs) = arg_values(inputs);
     let mut interp = Interpreter::new(registry);
     interp
         .run(proc, args, &mut NullMonitor)
@@ -370,61 +369,65 @@ fn c_literal(elem: DataType, v: f64) -> String {
     }
 }
 
+/// The C literal a driver passes for a size or scalar argument; `None`
+/// for a tensor.
+pub(crate) fn scalar_literal(arg: &SynthArg) -> Option<String> {
+    match arg {
+        SynthArg::Size(v) | SynthArg::Int(v) => Some(format!("{v}")),
+        SynthArg::Float(v) => Some(exo_ir::format_float(*v)),
+        SynthArg::Bool(b) => Some(if *b { "1" } else { "0" }.to_string()),
+        SynthArg::Tensor { .. } => None,
+    }
+}
+
+/// The call argument for tensor buffer `var`: the buffer itself, or for
+/// a window parameter a `struct exo_win_*` with dense row-major strides.
+pub(crate) fn tensor_call_arg(var: &str, dims: &[usize], elem: DataType, window: bool) -> String {
+    if dims.is_empty() || !window {
+        return var.to_string();
+    }
+    let mut strides = vec![1i64; dims.len()];
+    for d in (0..dims.len().saturating_sub(1)).rev() {
+        strides[d] = strides[d + 1] * dims[d + 1] as i64;
+    }
+    let tag = exo_machine::c_type_tag(elem);
+    let ss: Vec<String> = strides.iter().map(|v| v.to_string()).collect();
+    format!(
+        "(struct exo_win_{}{tag}){{ {var}, {{ {} }} }}",
+        dims.len(),
+        ss.join(", ")
+    )
+}
+
 /// Appends a `main` driver to an emitted unit: inputs embedded as static
 /// initializers, one kernel call, and a `%.17g` dump of every tensor.
 pub fn emit_driver(unit: &CUnit, proc: &Proc, inputs: &[SynthArg]) -> String {
     let mut s = String::with_capacity(unit.code.len() + 4096);
     s.push_str(&unit.code);
     s.push_str("\n#include <stdio.h>\n\nint main(void) {\n");
-    // Declarations.
     let mut call_args = Vec::with_capacity(inputs.len());
     let mut dumps = Vec::new();
-    for (k, (arg, input)) in proc.args().iter().zip(inputs).enumerate() {
+    for (k, input) in inputs.iter().enumerate() {
+        let SynthArg::Tensor {
+            dims,
+            data,
+            elem,
+            window,
+        } = input
+        else {
+            call_args.extend(scalar_literal(input));
+            continue;
+        };
         let var = format!("exo_arg_{k}");
-        match input {
-            SynthArg::Size(v) | SynthArg::Int(v) => call_args.push(format!("{v}")),
-            SynthArg::Float(v) => call_args.push(exo_ir::format_float(*v)),
-            SynthArg::Bool(b) => call_args.push(if *b { "1" } else { "0" }.to_string()),
-            SynthArg::Tensor {
-                dims,
-                data,
-                elem,
-                window,
-            } => {
-                let celem = match elem {
-                    DataType::F32 => "float",
-                    DataType::F64 => "double",
-                    DataType::I8 => "int8_t",
-                    DataType::I32 => "int32_t",
-                    DataType::Bool => "bool",
-                    DataType::Index => "int64_t",
-                };
-                let n = data.len();
-                let init: Vec<String> = data.iter().map(|v| c_literal(*elem, *v)).collect();
-                s.push_str(&format!(
-                    "    static {celem} {var}[{n}] = {{ {} }};\n",
-                    init.join(", ")
-                ));
-                if dims.is_empty() || !*window {
-                    call_args.push(var.clone());
-                } else {
-                    // Window parameter: dense row-major strides.
-                    let mut strides = vec![1i64; dims.len()];
-                    for d in (0..dims.len().saturating_sub(1)).rev() {
-                        strides[d] = strides[d + 1] * dims[d + 1] as i64;
-                    }
-                    let tag = exo_machine::c_type_tag(*elem);
-                    let ss: Vec<String> = strides.iter().map(|v| v.to_string()).collect();
-                    call_args.push(format!(
-                        "(struct exo_win_{}{tag}){{ {var}, {{ {} }} }}",
-                        dims.len(),
-                        ss.join(", ")
-                    ));
-                }
-                dumps.push((var, n));
-                let _ = arg;
-            }
-        }
+        let n = data.len();
+        let init: Vec<String> = data.iter().map(|v| c_literal(*elem, *v)).collect();
+        s.push_str(&format!(
+            "    static {} {var}[{n}] = {{ {} }};\n",
+            c_type(*elem),
+            init.join(", ")
+        ));
+        call_args.push(tensor_call_arg(&var, dims, *elem, *window));
+        dumps.push((var, n));
     }
     s.push_str(&format!("    {}({});\n", proc.name(), call_args.join(", ")));
     for (var, n) in dumps {
@@ -535,22 +538,79 @@ fn compile_in(
 /// Compile-only check of an emitted unit (used for intrinsic-mode units,
 /// which may not be runnable on the build host).
 pub fn compile_check(unit: &CUnit, tag: &str) -> Result<(), String> {
-    let bin = compile(&unit.code, &unit.cflags, tag)?;
-    if let Some(dir) = bin.parent() {
-        let _ = std::fs::remove_dir_all(dir);
-    }
+    remove_build_dir(&compile(&unit.code, &unit.cflags, tag)?);
     Ok(())
 }
 
-fn run_binary(bin: &std::path::Path) -> Result<String, String> {
-    let _span = exo_obs::span!("difftest:run", "{}", bin.display());
-    let mut cmd = Command::new(bin);
-    let output = run_guarded(&mut cmd, &run_guard())
-        .map_err(|e| format!("cannot run {}: {e}", bin.display()))?;
-    if !output.success {
-        return Err(format!("{} exited with {:?}", bin.display(), output.code));
+/// Why a dump driver produced no values.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RunFailure {
+    /// Killed at the guard's wall-clock limit.
+    TimedOut(String),
+    /// Exited unsuccessfully or was killed by a signal.
+    Exited(String),
+    /// Exited cleanly but printed something that is not a number.
+    Unparseable(String),
+    /// Could not be started or waited for.
+    CouldNotRun(String),
+}
+
+impl fmt::Display for RunFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunFailure::TimedOut(why)
+            | RunFailure::Exited(why)
+            | RunFailure::Unparseable(why)
+            | RunFailure::CouldNotRun(why) => f.write_str(why),
+        }
     }
-    Ok(output.stdout_lossy())
+}
+
+/// Runs a dump driver ([`emit_driver`]) under `guard` and parses its
+/// `%.17g`-per-line output: every tensor's elements, in argument order.
+/// The caller supplies the command, so it may substitute another process
+/// (as fault injection does).
+pub fn run_dump(cmd: &mut Command, guard: &GuardConfig) -> Result<Vec<f64>, RunFailure> {
+    let out = match run_guarded(cmd, guard) {
+        Ok(out) => out,
+        Err(e) if e.is_timeout() => return Err(RunFailure::TimedOut(e.to_string())),
+        Err(e) => return Err(RunFailure::CouldNotRun(e.to_string())),
+    };
+    if !out.success {
+        return Err(RunFailure::Exited(format!(
+            "binary exited {:?}: {}",
+            out.code,
+            out.stderr_lossy()
+        )));
+    }
+    out.stdout_lossy()
+        .split_ascii_whitespace()
+        .map(|t| {
+            t.parse::<f64>().map_err(|e| {
+                RunFailure::Unparseable(format!("unparseable driver output `{t}`: {e}"))
+            })
+        })
+        .collect()
+}
+
+/// Removes the temp directory a compiled artifact was built in (each
+/// [`compile`] gets its own).
+pub fn remove_build_dir(artifact: &std::path::Path) {
+    if let Some(dir) = artifact.parent() {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Compiles a dump driver, runs it through [`run_dump`], and removes its
+/// build directory whatever the outcome.
+fn dump_values(driver: &str, cflags: &[String], tag: &str) -> Result<Vec<f64>, String> {
+    let bin = compile(driver, cflags, tag)?;
+    let got = {
+        let _span = exo_obs::span!("difftest:run", "{}", bin.display());
+        run_dump(&mut Command::new(&bin), &run_guard())
+    };
+    remove_build_dir(&bin);
+    got.map_err(|e| format!("`{tag}`: {e}"))
 }
 
 /// Tolerance for comparing one element of a buffer of the given type:
@@ -630,7 +690,7 @@ pub fn run_differential_with(
     // CPU with the matching features — on an unsupported host the unit
     // is still compile-checked, then the run is skipped (not failed).
     if !unit.cflags.is_empty() && !exo_machine::HostCaps::detect().supports_cflags(&unit.cflags) {
-        compile(&unit.code, &unit.cflags, proc.name())?;
+        compile_check(&unit, proc.name())?;
         return Ok(DiffOutcome::Skipped(format!(
             "`{}` compiled, but this host cannot execute {}",
             proc.name(),
@@ -638,18 +698,7 @@ pub fn run_differential_with(
         )));
     }
     let driver = emit_driver(&unit, proc, &inputs);
-    let bin = compile(&driver, &unit.cflags, proc.name())?;
-    let stdout = run_binary(&bin)?;
-    if let Some(dir) = bin.parent() {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-    let got: Vec<f64> = stdout
-        .split_ascii_whitespace()
-        .map(|t| {
-            t.parse::<f64>()
-                .map_err(|e| format!("bad driver output `{t}`: {e}"))
-        })
-        .collect::<Result<_, _>>()?;
+    let got = dump_values(&driver, &unit.cflags, proc.name())?;
     let total: usize = expected.iter().map(|b| b.len()).sum();
     if got.len() != total {
         return Err(format!(
@@ -717,5 +766,63 @@ mod tests {
             .filter(|n| n.starts_with(&prefix) && n.ends_with(&format!("_{tag}")))
             .collect();
         assert!(left.is_empty(), "left behind: {left:?}");
+    }
+
+    /// This process's `exo_codegen_*` build directories tagged `tag`.
+    fn build_dirs(tag: &str) -> Vec<String> {
+        let prefix = format!("exo_codegen_{}_", std::process::id());
+        std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(&prefix) && n.ends_with(&format!("_{tag}")))
+            .collect()
+    }
+
+    #[test]
+    fn a_failing_dump_run_leaves_no_directory_behind() {
+        if !cc_available() {
+            eprintln!("skipping: no C compiler (`cc`) on PATH");
+            return;
+        }
+        let tag = "abort_check";
+        let driver = "#include <stdlib.h>\nint main(void) { abort(); }\n";
+        let err = dump_values(driver, &[], tag).expect_err("the driver aborts");
+        assert!(err.contains("binary exited"), "{err}");
+        assert_eq!(build_dirs(tag), Vec::<String>::new());
+    }
+
+    #[test]
+    fn run_dump_classifies_its_failures() {
+        if !cc_available() {
+            eprintln!("skipping: no C compiler (`cc`) on PATH");
+            return;
+        }
+        let guard = GuardConfig::with_timeout(Duration::from_millis(500));
+        let sh = |script: &str| {
+            let mut cmd = Command::new("sh");
+            cmd.arg("-c").arg(script);
+            cmd
+        };
+        assert_eq!(
+            run_dump(&mut sh("echo 1.5; echo -2"), &guard),
+            Ok(vec![1.5, -2.0])
+        );
+        assert!(matches!(
+            run_dump(&mut sh("exit 3"), &guard),
+            Err(RunFailure::Exited(_))
+        ));
+        assert!(matches!(
+            run_dump(&mut sh("echo nope"), &guard),
+            Err(RunFailure::Unparseable(_))
+        ));
+        assert!(matches!(
+            run_dump(&mut sh("exec sleep 5"), &guard),
+            Err(RunFailure::TimedOut(_))
+        ));
+        assert!(matches!(
+            run_dump(&mut Command::new("exo-no-such-binary"), &guard),
+            Err(RunFailure::CouldNotRun(_))
+        ));
     }
 }

@@ -21,6 +21,12 @@
 //! intrinsics** from `exo_machine::c_intrinsic`, the form a shipping
 //! library would contain.
 //!
+//! Two modules compile and run what the emitter produces: [`difftest`]
+//! checks a unit's output against the interpreter (one dump driver, one
+//! guarded compile, one run-and-parse), and [`timing`] measures it (one
+//! timed driver and runner, shared by the autotuner and the runtime
+//! bench).
+//!
 //! ```
 //! use exo_codegen::{emit_c, CodegenOptions};
 //! use exo_interp::ProcRegistry;
@@ -49,6 +55,7 @@ mod mangle;
 mod pch;
 
 pub mod difftest;
+pub mod timing;
 
 pub use mangle::{is_c_identifier, is_c_reserved, sanitize};
 

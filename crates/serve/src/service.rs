@@ -25,7 +25,9 @@ use crate::types::{
     ServeOk, ServeRequest, ServeResult, Tier, TraceStep,
 };
 use exo_analysis::{check_proc, Severity};
-use exo_codegen::difftest::{emit_driver, interp_outputs, synth_inputs};
+use exo_codegen::difftest::{
+    emit_driver, interp_outputs, remove_build_dir, run_dump, synth_inputs, RunFailure,
+};
 use exo_codegen::{emit_c, CUnit, CodegenOptions};
 use exo_cursors::ProcHandle;
 use exo_guard::{panic_message, run_guarded, GuardConfig};
@@ -35,7 +37,7 @@ use exo_machine::{MachineKind, MachineModel};
 use exo_obs::{HistSummary, Histogram};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
@@ -669,7 +671,10 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
             }
             Tier::CompileOnly => {
                 match compile_guarded(inner, &unit.code, &unit, job.fault, false) {
-                    Ok(_) => break None,
+                    Ok(object) => {
+                        remove_build_dir(&object);
+                        break None;
+                    }
                     Err((reason, detail)) => {
                         degrade(
                             &mut degraded,
@@ -828,11 +833,12 @@ fn compile_guarded(
     }
 }
 
-/// Runs a compiled driver binary under supervision and parses its
-/// `%.17g`-per-line tensor dump into an [`ExecSummary`].
+/// Runs a compiled driver binary under supervision through the shared
+/// dump run-and-parse, summarizes its values into an [`ExecSummary`],
+/// and removes the binary's directory.
 fn run_binary_guarded(
     inner: &ServiceInner,
-    bin: &PathBuf,
+    bin: &Path,
     fault: Option<Fault>,
 ) -> Result<ExecSummary, (DegradeReason, String)> {
     ServeStats::bump(&inner.stats.binary_runs);
@@ -840,52 +846,15 @@ fn run_binary_guarded(
         Some(Fault::BinaryHang) => hang_command(),
         _ => Command::new(bin),
     };
-    let outcome = run_guarded(&mut cmd, &inner.cfg.run_guard);
-    let cleanup = || {
-        if let Some(dir) = bin.parent() {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    };
+    let outcome = run_dump(&mut cmd, &inner.cfg.run_guard);
+    remove_build_dir(bin);
     match outcome {
-        Ok(out) if out.success => {
-            cleanup();
-            let mut h = Fnv::new();
-            let mut elems = 0usize;
-            for token in out.stdout_lossy().split_ascii_whitespace() {
-                match token.parse::<f64>() {
-                    Ok(v) => {
-                        h.write_u64(v.to_bits());
-                        elems += 1;
-                    }
-                    Err(e) => {
-                        return Err((
-                            DegradeReason::BinaryFailed,
-                            format!("unparseable driver output `{token}`: {e}"),
-                        ))
-                    }
-                }
-            }
-            Ok(ExecSummary {
-                elems,
-                checksum: h.finish(),
-            })
+        Ok(values) => Ok(summarize(&[values])),
+        Err(failure @ RunFailure::TimedOut(_)) => {
+            ServeStats::bump(&inner.stats.guard_timeouts);
+            Err((DegradeReason::BinaryTimeout, failure.to_string()))
         }
-        Ok(out) => {
-            cleanup();
-            Err((
-                DegradeReason::BinaryFailed,
-                format!("binary exited {:?}: {}", out.code, out.stderr_lossy()),
-            ))
-        }
-        Err(err) => {
-            cleanup();
-            if err.is_timeout() {
-                ServeStats::bump(&inner.stats.guard_timeouts);
-                Err((DegradeReason::BinaryTimeout, err.to_string()))
-            } else {
-                Err((DegradeReason::BinaryFailed, err.to_string()))
-            }
-        }
+        Err(failure) => Err((DegradeReason::BinaryFailed, failure.to_string())),
     }
 }
 

@@ -342,3 +342,85 @@ fn shutdown_cancels_pending_requests() {
         "queued-but-unprocessed requests are canceled"
     );
 }
+
+/// This process's `exo_serve_*` temp directories for kernel `name`.
+fn serve_dirs(name: &str) -> Vec<String> {
+    let prefix = format!("exo_serve_{}_", std::process::id());
+    let suffix = format!("_{name}");
+    std::fs::read_dir(std::env::temp_dir())
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with(&prefix) && n.ends_with(&suffix))
+        .collect()
+}
+
+#[test]
+fn compile_only_requests_leave_no_temp_directory() {
+    if !exo_codegen::difftest::cc_available() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    // A kernel name no other test uses, so concurrent tests' directories
+    // are not counted.
+    let name = "compile_only_probe";
+    let before = serve_dirs(name);
+    let service = KernelService::new(ServeConfig::default());
+    for seed in 0..2 {
+        let ok = service
+            .submit(ServeRequest {
+                proc: scal(Precision::Single).with_name(name),
+                options: ServeOptions {
+                    tier: Tier::CompileOnly,
+                    input_seed: seed,
+                    ..ServeOptions::default()
+                },
+                ..interp_request(seed)
+            })
+            .wait_timeout(WAIT)
+            .expect("request hung")
+            .result
+            .expect("compile-only request serves");
+        assert_eq!(ok.tier, Tier::CompileOnly);
+    }
+    assert_eq!(service.stats().computed, 2, "both requests compiled");
+    assert_eq!(serve_dirs(name), before, "compile-only left its directory");
+}
+
+/// A native-run response for a fixed request and seed: the dump's values
+/// are hashed bit for bit, in order, so any change to the run-and-parse
+/// path shows up in these checksums.
+#[test]
+fn native_run_checksums_are_pinned() {
+    if !exo_codegen::difftest::cc_available() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    let service = KernelService::new(ServeConfig::default());
+    let request = |tier| ServeRequest {
+        options: ServeOptions {
+            tier,
+            input_seed: 11,
+            ..ServeOptions::default()
+        },
+        ..interp_request(11)
+    };
+    let native = service
+        .submit(request(Tier::NativeRun))
+        .wait_timeout(WAIT)
+        .expect("request hung")
+        .result
+        .expect("native run serves");
+    assert_eq!(native.tier, Tier::NativeRun, "{:?}", native.degraded);
+    let exec = native.exec.expect("a native run has values");
+    assert_eq!((exec.elems, exec.checksum), (65, 0x85c0_1d57_c0e7_2825));
+    assert_eq!(exo_serve::response_checksum(&native), 0x7960_95a4_5d40_6444);
+    // The interpreter computes the same values, so the same checksum.
+    let interp = service
+        .submit(request(Tier::Interp))
+        .wait_timeout(WAIT)
+        .expect("request hung")
+        .result
+        .expect("interp serves");
+    assert_eq!(interp.exec, Some(exec));
+}
