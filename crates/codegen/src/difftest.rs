@@ -453,6 +453,57 @@ pub fn compile(
     extra_cflags: &[String],
     tag: &str,
 ) -> Result<std::path::PathBuf, String> {
+    compile_with(
+        &Command::new("cc"),
+        source,
+        extra_cflags,
+        tag,
+        &compile_guard(),
+    )
+    .map_err(|e| e.to_string())
+}
+
+/// Why a guarded compile produced no artifact. Each variant carries the
+/// human-readable detail.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CompileFailure {
+    /// The compiler was killed at the guard's wall-clock limit.
+    TimedOut(String),
+    /// The compiler ran and rejected the source; carries its
+    /// diagnostics.
+    Failed(String),
+    /// The compiler could not be started or waited for, or the build
+    /// directory could not be prepared.
+    CouldNotRun(String),
+}
+
+impl fmt::Display for CompileFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CompileFailure::TimedOut(why)
+            | CompileFailure::Failed(why)
+            | CompileFailure::CouldNotRun(why) => f.write_str(why),
+        }
+    }
+}
+
+/// The guarded compile behind [`compile`], with the compiler command and
+/// the supervision policy supplied by the caller. Only `cc`'s program and
+/// arguments are used; the flags, `-include`, `-o` and the source are
+/// appended, plus `-lm` when the source defines `main` (otherwise it is
+/// compiled to an object with `-c`).
+///
+/// The prelude cache is always built with the real `cc`, whose version
+/// is part of its key: a substituted command (as fault injection uses)
+/// only replaces the unit's compile, so it can neither mark a key failed
+/// nor bypass the cache for later compiles.
+pub fn compile_with(
+    cc: &Command,
+    source: &str,
+    extra_cflags: &[String],
+    tag: &str,
+    guard: &GuardConfig,
+) -> Result<std::path::PathBuf, CompileFailure> {
     let _span = exo_obs::span!("difftest:compile", "{}", tag);
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
@@ -461,7 +512,9 @@ pub fn compile(
         COUNTER.fetch_add(1, Ordering::Relaxed),
         tag
     ));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    std::fs::create_dir_all(&dir).map_err(|e| {
+        CompileFailure::CouldNotRun(format!("cannot create {}: {e}", dir.display()))
+    })?;
     let mut flags: Vec<String> = ["-O2", "-Wall", "-Werror", "-std=c99"]
         .iter()
         .map(|f| f.to_string())
@@ -470,7 +523,7 @@ pub fn compile(
     let header = pch::header_for(source, &flags)
         .map_err(|why| pch::fallback(&why))
         .ok();
-    let built = compile_in(&dir, source, &flags, header.as_deref());
+    let built = compile_in(cc, &dir, source, &flags, header.as_deref(), guard);
     if built.is_err() {
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -481,17 +534,20 @@ pub fn compile(
 /// the precompiled `header` when given. When `cc` cannot read the cache
 /// entry, the `.gch` is invalidated and the compile retried without it.
 fn compile_in(
+    cc: &Command,
     dir: &std::path::Path,
     source: &str,
     flags: &[String],
     header: Option<&std::path::Path>,
-) -> Result<std::path::PathBuf, String> {
+    guard: &GuardConfig,
+) -> Result<std::path::PathBuf, CompileFailure> {
     let src = dir.join("kernel.c");
-    std::fs::write(&src, source).map_err(|e| format!("cannot write {}: {e}", src.display()))?;
+    std::fs::write(&src, source)
+        .map_err(|e| CompileFailure::CouldNotRun(format!("cannot write {}: {e}", src.display())))?;
     let link = source.contains("int main(");
     let bin = dir.join(if link { "kernel" } else { "kernel.o" });
-    let mut cmd = Command::new("cc");
-    cmd.args(flags);
+    let mut cmd = Command::new(cc.get_program());
+    cmd.args(cc.get_args()).args(flags);
     if let Some(header) = header {
         cmd.arg("-include").arg(header);
     }
@@ -503,8 +559,14 @@ fn compile_in(
     if link {
         cmd.arg("-lm");
     }
-    let output =
-        run_guarded(&mut cmd, &compile_guard()).map_err(|e| format!("cannot run cc: {e}"))?;
+    let output = run_guarded(&mut cmd, guard).map_err(|e| {
+        let why = format!("cannot run cc: {e}");
+        if e.is_timeout() {
+            CompileFailure::TimedOut(why)
+        } else {
+            CompileFailure::CouldNotRun(why)
+        }
+    })?;
     if output.success {
         return Ok(bin);
     }
@@ -525,14 +587,14 @@ fn compile_in(
             header.display(),
             stderr.trim()
         ));
-        return compile_in(dir, source, flags, None);
+        return compile_in(cc, dir, source, flags, None, guard);
     }
-    Err(format!(
+    Err(CompileFailure::Failed(format!(
         "cc -O2 -Wall -Werror failed on {} (exit {:?}):\n{}",
         src.display(),
         output.code,
         stderr
-    ))
+    )))
 }
 
 /// Compile-only check of an emitted unit (used for intrinsic-mode units,
@@ -758,14 +820,7 @@ mod tests {
         let err = compile("#include <stdint.h>\n#error does not build\n", &[], tag)
             .expect_err("the source does not compile");
         assert!(err.contains("does not build"), "{err}");
-        let prefix = format!("exo_codegen_{}_", std::process::id());
-        let left: Vec<String> = std::fs::read_dir(std::env::temp_dir())
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.starts_with(&prefix) && n.ends_with(&format!("_{tag}")))
-            .collect();
-        assert!(left.is_empty(), "left behind: {left:?}");
+        assert_eq!(build_dirs(tag), Vec::<String>::new());
     }
 
     /// This process's `exo_codegen_*` build directories tagged `tag`.
@@ -789,6 +844,44 @@ mod tests {
         let driver = "#include <stdlib.h>\nint main(void) { abort(); }\n";
         let err = dump_values(driver, &[], tag).expect_err("the driver aborts");
         assert!(err.contains("binary exited"), "{err}");
+        assert_eq!(build_dirs(tag), Vec::<String>::new());
+    }
+
+    #[test]
+    fn compile_with_classifies_its_failures() {
+        if !cc_available() {
+            eprintln!("skipping: no C compiler (`cc`) on PATH");
+            return;
+        }
+        let source = "#include <stdint.h>\nint64_t f(void) { return 1; }\n";
+        let guard = GuardConfig {
+            spawn_retries: 1,
+            backoff_base: Duration::from_millis(1),
+            ..GuardConfig::with_timeout(Duration::from_millis(1))
+        };
+        let mut sleeper = Command::new("sh");
+        sleeper.arg("-c").arg("sleep 5");
+        let tag = "classify_timeout";
+        let got = compile_with(&sleeper, source, &[], tag, &guard);
+        assert!(matches!(got, Err(CompileFailure::TimedOut(_))), "{got:?}");
+        assert_eq!(build_dirs(tag), Vec::<String>::new());
+
+        let tag = "classify_missing";
+        let missing = Command::new("exo-no-such-compiler");
+        let got = compile_with(&missing, source, &[], tag, &guard);
+        assert!(
+            matches!(got, Err(CompileFailure::CouldNotRun(_))),
+            "{got:?}"
+        );
+        assert_eq!(build_dirs(tag), Vec::<String>::new());
+
+        let tag = "classify_failed";
+        let guard = GuardConfig::with_timeout(Duration::from_secs(60));
+        let bad = "#include <stdint.h>\nint64_t f(void) { return undeclared_name; }\n";
+        match compile_with(&Command::new("cc"), bad, &[], tag, &guard) {
+            Err(CompileFailure::Failed(why)) => assert!(why.contains("undeclared_name"), "{why}"),
+            other => panic!("expected Failed, got {other:?}"),
+        }
         assert_eq!(build_dirs(tag), Vec::<String>::new());
     }
 

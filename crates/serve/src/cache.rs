@@ -21,9 +21,12 @@
 //!   [`ResultCache::negative_ttl`] identical requests are answered from
 //!   the cache (a bad request cannot stampede the compiler); after the
 //!   TTL the entry expires and the next request retries for real.
+//!   Expired failures are also dropped whenever a new failure is stored,
+//!   so a stream of distinct bad requests cannot grow the map without
+//!   bound.
 
 use crate::types::{CacheStatus, Delivery, ServeError, ServeOk, ServeResult};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::Sender;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -133,10 +136,20 @@ enum Entry {
     },
 }
 
+/// The map plus the order in which failures were stored.
+#[derive(Default)]
+struct Entries {
+    map: HashMap<u64, Entry>,
+    /// `(stored at, key)` of every `Failed` entry, oldest first. A record
+    /// may outlive its entry (the key was retried or failed again); it is
+    /// then popped without removing anything.
+    failures: VecDeque<(Instant, u64)>,
+}
+
 /// The service's result cache. All methods take `&self`; the map is
 /// behind one mutex (entries are small: `Arc`s, senders, timestamps).
 pub(crate) struct ResultCache {
-    entries: Mutex<HashMap<u64, Entry>>,
+    entries: Mutex<Entries>,
     /// How long cached failures stay authoritative.
     pub(crate) negative_ttl: Duration,
 }
@@ -144,12 +157,12 @@ pub(crate) struct ResultCache {
 impl ResultCache {
     pub(crate) fn new(negative_ttl: Duration) -> Self {
         ResultCache {
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(Entries::default()),
             negative_ttl,
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Entry>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Entries> {
         // A panicking worker cannot poison this lock into uselessness:
         // the map itself is always in a consistent state between
         // operations, so the poison flag is cleared by recovering the
@@ -160,7 +173,8 @@ impl ResultCache {
     /// Admits one submission for `key`: hit, negative hit, join, or
     /// compute (registering `tx` as the originating waiter).
     pub(crate) fn admit(&self, key: u64, tx: Sender<Delivery>) -> Admission {
-        let mut map = self.lock();
+        let mut entries = self.lock();
+        let map = &mut entries.map;
         let mut recovered_corruption = false;
         match map.get_mut(&key) {
             Some(Entry::Ready { value, checksum }) => {
@@ -198,7 +212,8 @@ impl ResultCache {
 
     /// Resolves an in-flight key with the computed result: delivers to
     /// every waiter and stores the entry (`Ready` for successes,
-    /// `Failed` with the current time for failures). Returns how many
+    /// `Failed` with the current time for failures). Storing a failure
+    /// first drops every failure whose TTL has run out. Returns how many
     /// waiters were notified.
     ///
     /// `corrupt_stored` flips the stored checksum *atomically with the
@@ -208,7 +223,8 @@ impl ResultCache {
     /// leaves no window in which a racing submission could be served the
     /// entry pre-corruption and defeat the test.
     pub(crate) fn resolve(&self, key: u64, result: ServeResult, corrupt_stored: bool) -> usize {
-        let mut map = self.lock();
+        let mut entries = self.lock();
+        let map = &mut entries.map;
         let waiters = match map.remove(&key) {
             Some(Entry::InFlight { waiters }) => waiters,
             // Not in flight (already rejected, or never admitted):
@@ -236,16 +252,19 @@ impl ResultCache {
                 );
             }
             Err(error) => {
+                let at = Instant::now();
                 map.insert(
                     key,
                     Entry::Failed {
                         error: error.clone(),
-                        at: Instant::now(),
+                        at,
                     },
                 );
+                entries.drop_expired_failures(self.negative_ttl);
+                entries.failures.push_back((at, key));
             }
         }
-        drop(map);
+        drop(entries);
         let notified = waiters.len();
         for (tx, status) in waiters {
             let _ = tx.send(Delivery {
@@ -262,7 +281,7 @@ impl ResultCache {
     /// waiter and removes the entry.
     pub(crate) fn reject(&self, key: u64, error: ServeError) {
         let waiters = {
-            let mut map = self.lock();
+            let map = &mut self.lock().map;
             match map.remove(&key) {
                 Some(Entry::InFlight { waiters }) => waiters,
                 Some(other) => {
@@ -282,7 +301,24 @@ impl ResultCache {
 
     /// Number of entries currently cached (any state).
     pub(crate) fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().map.len()
+    }
+}
+
+impl Entries {
+    /// Removes the `Failed` entries stored more than `ttl` ago, oldest
+    /// first, leaving any key that was recomputed since.
+    fn drop_expired_failures(&mut self, ttl: Duration) {
+        while let Some(&(at, key)) = self.failures.front() {
+            if at.elapsed() < ttl {
+                break;
+            }
+            self.failures.pop_front();
+            if matches!(self.map.get(&key), Some(Entry::Failed { at: stored, .. }) if *stored == at)
+            {
+                self.map.remove(&key);
+            }
+        }
     }
 }
 
@@ -340,6 +376,26 @@ mod tests {
             matches!(cache.admit(1, tx), Admission::Compute { .. }),
             "expired failure must be recomputed"
         );
+    }
+
+    #[test]
+    fn a_failure_stored_again_outlives_its_first_record() {
+        let ttl = Duration::from_millis(40);
+        let cache = ResultCache::new(ttl);
+        let fail = |key| {
+            let (tx, _rx) = channel();
+            assert!(matches!(cache.admit(key, tx), Admission::Compute { .. }));
+            cache.resolve(key, Err(ServeError::Internal("boom".into())), false);
+        };
+        fail(1);
+        std::thread::sleep(Duration::from_millis(60));
+        // Key 1 fails again after its TTL; its first record is now stale.
+        fail(1);
+        fail(2);
+        assert_eq!(cache.len(), 2, "the fresh failure of key 1 was dropped");
+        std::thread::sleep(Duration::from_millis(60));
+        fail(3);
+        assert_eq!(cache.len(), 1, "expired failures stayed in the map");
     }
 
     #[test]

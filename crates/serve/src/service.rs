@@ -13,7 +13,9 @@
 //!   cache so retries cannot stampede a crashing path;
 //! * **supervised subprocesses** — `cc` and generated binaries run under
 //!   [`exo_guard::run_guarded`]: hard timeouts, kill-on-timeout, bounded
-//!   capture, spawn retry with backoff;
+//!   capture, spawn retry with backoff. Both go through the shared
+//!   harness in `exo_codegen::difftest` (`compile_with`, `run_dump`), so
+//!   compiles reuse its precompiled-prelude cache;
 //! * **graceful degradation** — when a tier's prerequisites fail the
 //!   service steps down the ladder native-run → compile-only → interp →
 //!   verified-IR, recording every step and its reason in the response.
@@ -26,11 +28,12 @@ use crate::types::{
 };
 use exo_analysis::{check_proc, Severity};
 use exo_codegen::difftest::{
-    emit_driver, interp_outputs, remove_build_dir, run_dump, synth_inputs, RunFailure,
+    compile_with, emit_driver, interp_outputs, remove_build_dir, run_dump, synth_inputs,
+    CompileFailure, RunFailure,
 };
 use exo_codegen::{emit_c, CUnit, CodegenOptions};
 use exo_cursors::ProcHandle;
-use exo_guard::{panic_message, run_guarded, GuardConfig};
+use exo_guard::{panic_message, GuardConfig};
 use exo_interp::ProcRegistry;
 use exo_lib::apply_script;
 use exo_machine::{MachineKind, MachineModel};
@@ -52,7 +55,8 @@ pub struct ServeConfig {
     /// Bounded queue capacity; submissions beyond it are shed with
     /// [`ServeError::Overloaded`].
     pub queue_cap: usize,
-    /// Supervision policy for C compiler invocations.
+    /// Supervision policy for C compiler invocations. A one-off build of
+    /// a precompiled prelude runs under the shared compile's own policy.
     pub compile_guard: GuardConfig,
     /// Supervision policy for compiled-binary invocations.
     pub run_guard: GuardConfig,
@@ -493,7 +497,7 @@ impl TraceBuilder {
     fn finish(self) -> RequestTrace {
         RequestTrace {
             total_ns: dur_ns(self.started.elapsed()),
-            steps: self.steps,
+            steps: self.steps.into(),
         }
     }
 }
@@ -638,7 +642,7 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
                     }
                 };
                 let driver = emit_driver(&unit, proc, &inputs);
-                match compile_guarded(inner, &driver, &unit, job.fault, true) {
+                match compile_guarded(inner, &driver, &unit, job.fault) {
                     Ok(bin) => match run_binary_guarded(inner, &bin, job.fault) {
                         Ok(summary) => break Some(summary),
                         Err((reason, detail)) => {
@@ -669,25 +673,23 @@ fn process(inner: &ServiceInner, job: &Job) -> Result<ServeOk, ServeError> {
                     }
                 }
             }
-            Tier::CompileOnly => {
-                match compile_guarded(inner, &unit.code, &unit, job.fault, false) {
-                    Ok(object) => {
-                        remove_build_dir(&object);
-                        break None;
-                    }
-                    Err((reason, detail)) => {
-                        degrade(
-                            &mut degraded,
-                            &mut trace,
-                            Tier::CompileOnly,
-                            Tier::Interp,
-                            reason,
-                            detail,
-                        );
-                        tier = Tier::Interp;
-                    }
+            Tier::CompileOnly => match compile_guarded(inner, &unit.code, &unit, job.fault) {
+                Ok(object) => {
+                    remove_build_dir(&object);
+                    break None;
                 }
-            }
+                Err((reason, detail)) => {
+                    degrade(
+                        &mut degraded,
+                        &mut trace,
+                        Tier::CompileOnly,
+                        Tier::Interp,
+                        reason,
+                        detail,
+                    );
+                    tier = Tier::Interp;
+                }
+            },
             Tier::Interp => {
                 let inputs = match synth_inputs(proc, request.options.input_seed) {
                     Ok(inputs) => inputs,
@@ -765,72 +767,38 @@ fn hang_command() -> Command {
     cmd
 }
 
-/// Compiles `source` under supervision into a fresh temp dir; `link`
-/// selects driver (with `main`) vs object-only compilation. Returns the
-/// produced artifact path or a (reason, detail) degradation pair.
+/// Compiles `source` for `unit` through the shared guarded compile
+/// under the service's compile guard, with the compiler command swapped
+/// when a compiler fault is injected. Returns the produced artifact (a
+/// binary when `source` defines `main`, an object otherwise) or a
+/// (reason, detail) degradation pair.
 fn compile_guarded(
     inner: &ServiceInner,
     source: &str,
     unit: &CUnit,
     fault: Option<Fault>,
-    link: bool,
 ) -> Result<PathBuf, (DegradeReason, String)> {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    ServeStats::bump(&inner.stats.compiles);
-    let dir = std::env::temp_dir().join(format!(
-        "exo_serve_{}_{}_{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed),
-        unit.name
-    ));
-    std::fs::create_dir_all(&dir).map_err(|e| {
-        (
-            DegradeReason::CompilerUnavailable,
-            format!("cannot create {}: {e}", dir.display()),
-        )
-    })?;
-    let src = dir.join("kernel.c");
-    std::fs::write(&src, source).map_err(|e| {
-        (
-            DegradeReason::CompilerUnavailable,
-            format!("cannot write {}: {e}", src.display()),
-        )
-    })?;
-    let artifact = dir.join(if link { "kernel" } else { "kernel.o" });
-    let mut cmd = match fault {
+    let cc = match fault {
         Some(Fault::CcHang) => hang_command(),
         Some(Fault::CcMissing) => Command::new("exo2-injected-missing-cc"),
         _ => Command::new("cc"),
     };
-    cmd.args(["-O2", "-Wall", "-Werror", "-std=c99"]);
-    cmd.args(&unit.cflags);
-    if !link {
-        cmd.arg("-c");
-    }
-    cmd.arg("-o").arg(&artifact).arg(&src);
-    if link {
-        cmd.arg("-lm");
-    }
-    let outcome = run_guarded(&mut cmd, &inner.cfg.compile_guard);
-    match outcome {
-        Ok(out) if out.success => Ok(artifact),
-        Ok(out) => {
-            let _ = std::fs::remove_dir_all(&dir);
-            Err((
-                DegradeReason::CompilerFailed,
-                format!("cc exited {:?}: {}", out.code, out.stderr_lossy()),
-            ))
+    ServeStats::bump(&inner.stats.compiles);
+    compile_with(
+        &cc,
+        source,
+        &unit.cflags,
+        &unit.name,
+        &inner.cfg.compile_guard,
+    )
+    .map_err(|failure| match failure {
+        CompileFailure::TimedOut(why) => {
+            ServeStats::bump(&inner.stats.guard_timeouts);
+            (DegradeReason::CompilerTimeout, why)
         }
-        Err(err) => {
-            let _ = std::fs::remove_dir_all(&dir);
-            if err.is_timeout() {
-                ServeStats::bump(&inner.stats.guard_timeouts);
-                Err((DegradeReason::CompilerTimeout, err.to_string()))
-            } else {
-                Err((DegradeReason::CompilerUnavailable, err.to_string()))
-            }
-        }
-    }
+        CompileFailure::Failed(why) => (DegradeReason::CompilerFailed, why),
+        CompileFailure::CouldNotRun(why) => (DegradeReason::CompilerUnavailable, why),
+    })
 }
 
 /// Runs a compiled driver binary under supervision through the shared

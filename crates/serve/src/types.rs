@@ -135,10 +135,14 @@ impl fmt::Display for TraceStep {
 /// in execution order. Unlike the `exo-obs` spans (opt-in, global),
 /// this rides along with the response so a caller can see where its
 /// own request's time went and why each degradation happened.
+///
+/// The steps are shared, not owned: a clone (a caller keeping the trace
+/// of every response it received, say) takes a reference count instead
+/// of copying every step and its outcome string.
 #[derive(Clone, Debug, Default)]
 pub struct RequestTrace {
     /// Pipeline steps in execution order.
-    pub steps: Vec<TraceStep>,
+    pub steps: Arc<[TraceStep]>,
     /// Total wall-clock nanoseconds in the worker pipeline.
     pub total_ns: u64,
 }

@@ -285,17 +285,46 @@ fn corrupted_cache_entries_are_quarantined_and_recomputed() {
     assert_eq!(d2.cache, CacheStatus::Hit);
 }
 
+/// A request whose script the primitives reject (distinct per `seed`).
+fn bad_schedule_request(seed: u64) -> ServeRequest {
+    use exo_lib::{LoopSel, SchedStep};
+    ServeRequest {
+        script: ScheduleScript::new(vec![SchedStep::Reorder {
+            loop_: LoopSel::new("no_such_loop", 0),
+        }]),
+        ..interp_request(seed)
+    }
+}
+
+#[test]
+fn expired_failures_leave_the_cache() {
+    let service = KernelService::new(ServeConfig {
+        negative_ttl: Duration::from_millis(100),
+        ..ServeConfig::default()
+    });
+    let fail = |seed| {
+        let d = service
+            .submit(bad_schedule_request(seed))
+            .wait_timeout(WAIT)
+            .expect("request hung");
+        assert!(matches!(d.result, Err(ServeError::BadSchedule(_))));
+    };
+    for seed in 0..6 {
+        fail(seed);
+    }
+    assert_eq!(service.cache_len(), 6, "each distinct failure is cached");
+    std::thread::sleep(Duration::from_millis(200));
+    // None of the six keys is submitted again; storing a new failure
+    // drops them all.
+    fail(100);
+    assert_eq!(service.cache_len(), 1, "expired failures stayed in the map");
+}
+
 #[test]
 fn bad_schedules_are_classified_not_fatal() {
-    use exo_lib::{LoopSel, SchedStep};
     let service = KernelService::new(ServeConfig::default());
     let d = service
-        .submit(ServeRequest {
-            script: ScheduleScript::new(vec![SchedStep::Reorder {
-                loop_: LoopSel::new("no_such_loop", 0),
-            }]),
-            ..interp_request(1)
-        })
+        .submit(bad_schedule_request(1))
         .wait_timeout(WAIT)
         .expect("request hung");
     assert!(matches!(d.result, Err(ServeError::BadSchedule(_))));
@@ -343,9 +372,10 @@ fn shutdown_cancels_pending_requests() {
     );
 }
 
-/// This process's `exo_serve_*` temp directories for kernel `name`.
+/// This process's build directories for kernel `name`: the shared
+/// guarded compile names them `exo_codegen_<pid>_<n>_<kernel>`.
 fn serve_dirs(name: &str) -> Vec<String> {
-    let prefix = format!("exo_serve_{}_", std::process::id());
+    let prefix = format!("exo_codegen_{}_", std::process::id());
     let suffix = format!("_{name}");
     std::fs::read_dir(std::env::temp_dir())
         .unwrap()
